@@ -20,6 +20,7 @@ covers:
 
 from .core import (
     DeterminantProfile,
+    HankelScan,
     MomentSequence,
     as_moments,
     binomial_transform,
@@ -27,6 +28,7 @@ from .core import (
     hankel_det,
     hankel_matrix,
     hankel_minor,
+    hankel_scan,
     matrix_rank,
     shifted_det,
 )
@@ -57,8 +59,10 @@ from .polynomials import (
     jacobi_from_moments,
     kronecker_residual,
     moments_from_jacobi,
+    p_family,
     poly_P,
     poly_Q,
+    second_kind,
     solve_prescribed,
 )
 from .approximants import (
@@ -119,6 +123,7 @@ __all__ = [
     "FreePolicy",
     "GapHypothesisViolated",
     "HankelError",
+    "HankelScan",
     "IndexOutOfRange",
     "Interval",
     "InverseSolution",
@@ -164,6 +169,7 @@ __all__ = [
     "hankel_det",
     "hankel_matrix",
     "hankel_minor",
+    "hankel_scan",
     "hankel_rank",
     "isolate_real_roots",
     "jacobi_from_moments",
@@ -171,6 +177,7 @@ __all__ = [
     "matrix_rank",
     "moments_from_jacobi",
     "moments_of_atoms",
+    "p_family",
     "parse_rational",
     "poly_P",
     "poly_Q",
@@ -178,6 +185,7 @@ __all__ = [
     "rational_form",
     "recover_measure",
     "recurrence_coeffs",
+    "second_kind",
     "shifted_det",
     "shifted_gap_det",
     "shifted_recurrence_coeffs",

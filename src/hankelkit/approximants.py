@@ -30,7 +30,6 @@ from .core import (
     as_moments,
     hankel_det,
     shifted_det,
-    solve_unique,
 )
 from .errors import (
     GapHypothesisViolated,
@@ -38,7 +37,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroSequence,
 )
-from .polynomials import ZERO, Polynomial, poly_P
+from .polynomials import ZERO, Polynomial, p_family, poly_P
 from .scalars import format_rational
 
 
@@ -64,28 +63,22 @@ class ExceedsHorizon:
     horizon: int
 
 
-def _leading_det(seq: MomentSequence, r: int) -> Fraction:
-    value = hankel_det(seq, r - 1)
-    if value == 0:
-        raise SingularLeadingMinor(r)
-    return value
-
-
 def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
-    """Solve (s_{i+j})_{i,j<r} d = (s_{r+i})_i exactly.
+    """The solution d of (s_{i+j})_{i,j<r} d = (s_{r+i})_i, exactly.
 
-    The solution also equals -p_{r,k}/D_{r-1} coefficient-wise, which tests
-    cross-validate as an independent route.
+    Read off P_r as d_k = -p_{r,k}/D_{r-1} (D_{r-1} is P_r's leading
+    coefficient); tests cross-validate it against an elimination solve.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    _leading_det(seq, r)
-    rows = [[seq[i + j] for j in range(r)] for i in range(r)]
-    rhs = [seq[r + i] for i in range(r)]
-    return ApproxRecurrence(r, tuple(solve_unique(rows, rhs)))
+    p = poly_P(seq, r).padded(r + 1)
+    lead = p[r]  # D_{r-1}
+    if lead == 0:
+        raise SingularLeadingMinor(r)
+    return ApproxRecurrence(r, tuple(-p[k] / lead for k in range(r)))
 
 
 def _extension_values(seq: MomentSequence, rec: ApproxRecurrence, upto: int) -> list[Fraction]:
@@ -253,7 +246,7 @@ def degree_profile(s: SequenceLike) -> StructureReport:
     if len(seq) == 0 or seq.is_zero():
         raise ZeroSequence()
     n_max = len(seq) // 2
-    polys = [poly_P(seq, n) for n in range(n_max + 1)]
+    polys = p_family(seq, n_max)
     full = tuple(n for n in range(n_max + 1) if polys[n].degree == n)
     anomalies: list[str] = []
 

@@ -40,7 +40,7 @@ from .inverse import (
     solve_inverse,
 )
 from .measures import recover_measure, verify_moments
-from .polynomials import JacobiCoeffs, jacobi_from_moments, moments_from_jacobi, poly_P, poly_Q
+from .polynomials import JacobiCoeffs, jacobi_from_moments, moments_from_jacobi, p_family, second_kind
 from .rank import hankel_rank
 from .scalars import MIN_PRECISION_BITS
 
@@ -65,6 +65,17 @@ def _precision(text: str) -> int:
             f"precision must be at least {MIN_PRECISION_BITS} bits"
         )
     return value
+
+
+def _tolerance(text: str) -> str:
+    """Check a --tol value up front; the computation reads the string itself."""
+    try:
+        value = mp.mpf(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not mp.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError("tolerance must be a finite number >= 0")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--construct", action="store_true", help="also build a solution")
     solve.add_argument("--policy", type=str, default=None, help="free entries: zeros | seed:<u64>")
     solve.add_argument("--precision-bits", type=_precision, default=256)
-    solve.add_argument("--tol", type=str, default=DEFAULT_TOLERANCE)
+    solve.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     measure = add("measure", "recover the representing discrete measure")
     measure.add_argument("--precision-bits", type=_precision, default=256)
-    measure.add_argument("--tol", type=str, default=MEASURE_TOLERANCE)
+    measure.add_argument("--tol", type=_tolerance, default=MEASURE_TOLERANCE)
 
     return parser
 
@@ -129,9 +140,10 @@ def _dispatch(args) -> dict:
         max_n = len(seq) // 2 if args.max_n is None else args.max_n
         if max_n < 0:
             raise _UsageError("--max-n must be >= 0")
+        family = p_family(seq, max_n)
         return {
-            "P": [poly_P(seq, n).to_json() for n in range(max_n + 1)],
-            "Q": [poly_Q(seq, n).to_json() for n in range(max_n + 1)],
+            "P": [p.to_json() for p in family],
+            "Q": [second_kind(seq, p).to_json() for p in family],
         }
 
     if args.command == "jacobi":

@@ -33,7 +33,7 @@ from typing import Iterator, Optional, Sequence, Union
 from mpmath import mp
 import mpmath
 
-from .core import MomentSequence, hankel_det, solve_unique
+from .core import MomentSequence, fraction_free_det, hankel_matrix, solve_unique
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -192,8 +192,8 @@ class FreePolicy:
                 seed = int(text[len("seed:") :])
             except ValueError:
                 raise ParseError(f"invalid seed in policy {text!r}") from None
-            if seed < 0:
-                raise ParseError("policy seed must be nonnegative")
+            if not 0 <= seed < 2**64:
+                raise ParseError("policy seed must be an unsigned 64-bit integer")
             return FreePolicy("seed", seed)
         raise ParseError(f"unknown policy {text!r}; expected zeros or seed:<u64>")
 
@@ -249,8 +249,14 @@ class InverseSolution:
         return payload
 
 
-def _construct(targets: TargetSequence, policy: FreePolicy, exact: bool, bits: int) -> list:
-    """Run the inductive construction in one arithmetic (exact or big-float)."""
+def _construct(
+    targets: TargetSequence, policy: FreePolicy, exact: bool, bits: int, tol: str
+) -> list:
+    """Run the inductive construction in one arithmetic (exact or big-float).
+
+    A big-float recurrence system that is singular at the working precision
+    raises PrecisionExhausted: more bits may separate its pivots from zero.
+    """
     support = targets.support
     n_top = len(targets) - 1
     draws = policy.stream()
@@ -278,7 +284,10 @@ def _construct(targets: TargetSequence, policy: FreePolicy, exact: bool, bits: i
 
         def solve(rows, rhs):
             with mp.workprec(bits):
-                solution = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+                try:
+                    solution = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+                except ZeroDivisionError:  # mpmath: "matrix is numerically singular"
+                    raise PrecisionExhausted(bits, "inf", tol) from None
             return list(solution)
 
         def root(value, k: int):
@@ -334,8 +343,12 @@ def _construct(targets: TargetSequence, policy: FreePolicy, exact: bool, bits: i
 
 
 def _verify_exact(terms: list, targets: TargetSequence) -> tuple:
+    """Recompute every D_n by Bareiss elimination, independent of the gap
+    formulas the construction (and ``hankel_det``) rely on."""
     seq = MomentSequence(tuple(terms))
-    recomputed = tuple(hankel_det(seq, n) for n in range(len(targets)))
+    recomputed = tuple(
+        fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets))
+    )
     for n, value in enumerate(recomputed):
         if value != targets[n]:
             raise RuntimeError(
@@ -415,10 +428,10 @@ def solve_inverse(
             max_residual=Fraction(0),
         )
     try:
-        terms = _construct(targets, free_policy, exact=True, bits=precision_bits)
+        terms = _construct(targets, free_policy, exact=True, bits=precision_bits, tol=tol)
     except _IrrationalRoot:
         with mp.workprec(precision_bits):
-            terms = _construct(targets, free_policy, exact=False, bits=precision_bits)
+            terms = _construct(targets, free_policy, exact=False, bits=precision_bits, tol=tol)
         certificate, worst = _verify_bigfloat(terms, targets, precision_bits)
         with mp.workprec(precision_bits):
             if worst > mp.mpf(tol):

@@ -29,6 +29,7 @@ from .core import (
     as_moments,
     determinant_transform,
     hankel_det,
+    hankel_scan,
 )
 from .errors import (
     DegreeViolation,
@@ -40,7 +41,7 @@ from .errors import (
     WeightMismatch,
     ZeroSequence,
 )
-from .polynomials import ZERO, Polynomial, poly_P, poly_Q
+from .polynomials import ZERO, Polynomial, poly_P, second_kind
 from .rank import hankel_rank
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -121,7 +122,7 @@ def psd_finite_rank_check(s: SequenceLike) -> int:
             raise NotPSDFlat(n, d[n], "determinant becomes nonzero after the zero run")
     if r == len(d):
         raise NotPSDFlat(
-            len(d), Fraction(0), "determinants never vanish within the horizon"
+            r - 1, d[r - 1], "determinants never vanish within the horizon"
         )
     certificate = hankel_rank(seq)
     if certificate.verdict != "FiniteRank" or certificate.rank != r:
@@ -231,14 +232,14 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
     """
     seq = as_moments(s)
     r = psd_finite_rank_check(seq)
-    p_r = poly_P(seq, r)
-    q_r = poly_Q(seq, r)
+    scan = hankel_scan(seq.prefix(2 * r), polys=True)  # D_0..D_{r-1}, P_0..P_r
+    family = [Polynomial(scan.p_coeffs(k)) for k in range(r + 1)]
+    p_r = family[r]
+    q_r = second_kind(seq, p_r)
     intervals = isolate_real_roots(p_r, precision_bits)
     if len(intervals) != r:
         raise RootCountMismatch(r, len(intervals))
-    profile = determinant_transform(seq)
-    d = [Fraction(1)] + list(profile.d_values)  # d[k+1] = D_k, d[0] = D_{-1}
-    p_family = [poly_P(seq, k) for k in range(r)]
+    d = [Fraction(1)] + list(scan.d_values)  # d[k+1] = D_k, d[0] = D_{-1}
     p_prime = p_r.derivative()
 
     atoms = []
@@ -251,7 +252,7 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
             )
             cd_sum = mp.mpf(0)
             for k in range(r):
-                value = p_family[k].eval_mpf(lam, precision_bits)
+                value = family[k].eval_mpf(lam, precision_bits)
                 cd_sum += value * value / to_mpf(d[k + 1] * d[k], precision_bits)
             w_cd = 1 / cd_sum
             delta = abs(w_residue - w_cd)

@@ -2,10 +2,12 @@
 
 P_n is the determinant of H_n with the last row replaced by the monomials
 1, x, ..., x^n; expanding along that row shows the coefficient of x^j is the
-signed maximal minor (-1)^{n+j} M_j of the first n rows of H_n, so a single
-exact elimination produces all coefficients at once (:func:`core.bottom_row_minors`).
-Q_n, the second-kind companion, has coefficients given by a convolution of the
-P_n coefficients with the moments, again with no extra determinants.
+signed maximal minor (-1)^{n+j} M_j of the first n rows of H_n.  No minor is
+ever eliminated here: the whole family P_0, P_1, ... comes from the single
+O(M^2) pass of :func:`core.hankel_scan`, which advances P_n by the gap
+formula and the block three-term recurrence.  Q_n, the second-kind
+companion, has coefficients given by a convolution of the P_n coefficients
+with the moments, again with no extra determinants.
 
 The same bottom-row expansion gives two workhorse identities used by the
 prescribed-determinant solver: L(x^n P_n) = D_n and L(x^{n+1} P_n) = D'_{n+1},
@@ -25,8 +27,8 @@ from .core import (
     MomentSequence,
     SequenceLike,
     as_moments,
-    bottom_row_minors,
     hankel_det,
+    hankel_scan,
     shifted_det,
 )
 from .errors import (
@@ -227,8 +229,8 @@ def poly_P(s: SequenceLike, n: int) -> Polynomial:
     """P_n: bordered Hankel determinant with monomial last row; P_0 = 1.
 
     Coefficient of x^j is (-1)^{n+j} times the maximal minor M_j of the
-    first n rows of H_n; all n+1 minors come from one elimination.
-    Needs moments through s_{2n-1}.
+    first n rows of H_n.  Computed by one scan of s_0..s_{2n-1}, the
+    moments it needs.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -237,10 +239,32 @@ def poly_P(s: SequenceLike, n: int) -> Polynomial:
     seq = as_moments(s)
     if 2 * n - 1 > seq.max_index:
         raise IndexOutOfRange(2 * n - 1, seq.horizon)
-    rows = [[seq[i + j] for j in range(n + 1)] for i in range(n)]
-    minors = bottom_row_minors(rows)
+    return Polynomial(hankel_scan(seq.prefix(2 * n), polys=True).p_coeffs(n))
+
+
+def p_family(s: SequenceLike, n_max: int) -> tuple[Polynomial, ...]:
+    """P_0..P_{n_max} from one scan of s_0..s_{2 n_max - 1}."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    seq = as_moments(s)
+    if 2 * n_max - 1 > seq.max_index:
+        first_missing = len(seq) // 2 + 1  # the smallest n whose P_n the prefix lacks
+        raise IndexOutOfRange(2 * first_missing - 1, seq.horizon)
+    scan = hankel_scan(seq.prefix(2 * n_max), polys=True)
+    return tuple(Polynomial(scan.p_coeffs(n)) for n in range(n_max + 1))
+
+
+def second_kind(s: SequenceLike, p: Polynomial) -> Polynomial:
+    """The second-kind companion L_t[(p(x) - p(t)) / (x - t)] of p.
+
+    Its coefficients are convolutions of p's coefficients with the moments:
+    q_m = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.
+    """
+    seq = as_moments(s)
+    coeffs = p.coeffs
     return Polynomial(
-        minors[j] if (n + j) % 2 == 0 else -minors[j] for j in range(n + 1)
+        sum((coeffs[k + m + 1] * seq[k] for k in range(len(coeffs) - m - 1)), Fraction(0))
+        for m in range(len(coeffs) - 1)
     )
 
 
@@ -253,14 +277,7 @@ def poly_Q(s: SequenceLike, n: int) -> Polynomial:
     if n == 0:
         return ZERO
     seq = as_moments(s)
-    p = poly_P(seq, n).padded(n + 1)
-    coeffs = []
-    for m in range(n):
-        acc = Fraction(0)
-        for k in range(n - m):
-            acc += p[k + m + 1] * seq[k]
-        coeffs.append(acc)
-    return Polynomial(coeffs)
+    return second_kind(seq, poly_P(seq, n))
 
 
 def apply_L(s: SequenceLike, p: Polynomial) -> Fraction:
@@ -365,13 +382,12 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
     seq = as_moments(s)
     if 2 * n_terms - 1 > seq.max_index:
         raise IndexOutOfRange(2 * n_terms - 1, seq.horizon)
-    d = [Fraction(1)]  # D_{-1} at index 0
-    for n in range(n_terms):
-        value = hankel_det(seq, n)
+    scan = hankel_scan(seq.prefix(2 * n_terms))
+    for n, value in enumerate(scan.d_values):
         if value == 0:
             raise NotQuasiDefinite(n)
-        d.append(value)
-    dp = [Fraction(0)] + [shifted_det(seq, n) for n in range(n_terms)]  # D'_0..D'_N
+    d = [Fraction(1)] + list(scan.d_values)  # D_{-1} at index 0
+    dp = [Fraction(0)] + list(scan.d_prime_values)  # D'_0..D'_N
     a = tuple(dp[n + 1] / d[n + 1] - dp[n] / d[n] for n in range(n_terms))
     b_list = [d[1]]
     for n in range(1, n_terms):

@@ -188,6 +188,38 @@ class TestSolve:
         assert code == 2
         assert json.loads(err)["kind"] == "parse_error"
 
+    def test_seed_above_u64_is_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-1"]})
+        code, out, err = run(
+            capsys,
+            ["solve", path, "--construct", "--policy", "seed:99999999999999999999999"],
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "parse_error"
+
+    def test_malformed_tol_is_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})
+        code, out, err = run(capsys, ["solve", path, "--construct", "--tol", "abc"])
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "UsageError"
+        assert "--tol" in payload["error"]
+
+    def test_singular_bigfloat_system_is_precision_exhausted(self, tmp_path, capsys):
+        # At 256 bits a recurrence system of this target is numerically
+        # singular; 4096 bits construct it.
+        target = ["1", "0", "-2", "0", "4", "0", "-8", "0", "16", "0", "-32", "0",
+                  "64", "0", "-128", "0", "256"]
+        path = write_json(tmp_path, "t.json", {"target": target})
+        code, out, err = run(capsys, ["solve", path, "--construct"])
+        assert code == 4
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "precision_exhausted"
+        assert payload["precision_bits"] == 256
+
     def test_precision_exhausted_exit(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})
         code, _, err = run(
@@ -224,6 +256,21 @@ class TestMeasure:
         code, _, err = run(capsys, ["measure", path])
         assert code == 3
         assert json.loads(err)["kind"] == "not_psd_flat"
+
+    def test_no_flat_region_names_the_last_computed_determinant(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", "1", "2", "5"]})
+        code, _, err = run(capsys, ["measure", path])
+        assert code == 3
+        payload = json.loads(err)
+        assert payload["kind"] == "not_psd_flat"
+        assert (payload["n"], payload["value"]) == (1, "1")
+
+    def test_malformed_tol_is_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1"]})
+        code, out, err = run(capsys, ["measure", path, "--tol", "abc"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["kind"] == "UsageError"
 
     def test_impossible_tolerance_exit(self, tmp_path, capsys):
         path = write_json(

@@ -1,0 +1,193 @@
+"""The single-pass engine (`hankel_scan`) against per-index elimination.
+
+Every D_n, D'_{n+1} and P_n the scan returns is recomputed by Bareiss
+elimination (`fraction_free_det`, `bottom_row_minors`) and, for n <= 5, by
+cofactor expansion (`tests/oracles.py`).  The strategies plant the inputs
+where the gap machinery does real work: sparse entries that open zero runs,
+s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hankelkit import (
+    determinant_transform,
+    hankel_det,
+    p_family,
+    poly_P,
+    poly_Q,
+    recurrence_coeffs,
+    second_kind,
+    shifted_det,
+)
+from hankelkit.core import (
+    MomentSequence,
+    bottom_row_minors,
+    fraction_free_det,
+    hankel_scan,
+    solve_unique,
+)
+from hankelkit.errors import IndexOutOfRange, SingularLeadingMinor
+
+from oracles import oracle_hankel_det, oracle_poly_coeffs, oracle_shifted_det
+
+ORACLE_MAX_N = 5
+
+generic = st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12), min_size=1, max_size=18)
+signs = st.lists(st.sampled_from([F(-1), F(0), F(1)]), min_size=1, max_size=20)
+rare_ones = st.lists(st.sampled_from([F(0), F(0), F(0), F(1)]), min_size=1, max_size=20)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+zero_start = st.lists(small, min_size=0, max_size=16).map(lambda tail: [F(0)] + tail)
+
+
+@st.composite
+def finite_rank(draw):
+    """A rank-r recurrence continued past its defining terms, sometimes perturbed once."""
+    r = draw(st.integers(1, 4))
+    d = draw(st.lists(st.integers(-2, 2).map(F), min_size=r, max_size=r))
+    s = draw(st.lists(st.integers(-2, 2).map(F), min_size=r, max_size=r))
+    length = draw(st.integers(r, 20))
+    while len(s) < length:
+        s.append(sum(d[k] * s[len(s) - r + k] for k in range(r)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, length - 1))
+        s[at] += draw(st.sampled_from([F(-1), F(1), F(1, 2)]))
+    return s
+
+
+@st.composite
+def mid_gap(draw):
+    """Nonzero head, then zeros to the end: the last zero run never closes."""
+    head = draw(st.lists(small, min_size=1, max_size=6))
+    zeros = draw(st.integers(0, 9))
+    return head + [F(0)] * zeros
+
+
+def bareiss_p(s, n):
+    if n == 0:
+        return [F(1)]
+    minors = bottom_row_minors([[s[i + j] for j in range(n + 1)] for i in range(n)])
+    return [minors[j] if (n + j) % 2 == 0 else -minors[j] for j in range(n + 1)]
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def check_against_elimination(s):
+    m_top = len(s) - 1
+    scan = hankel_scan(s, polys=True)
+    assert len(scan.d_values) == m_top // 2 + 1
+    assert len(scan.d_prime_values) == (m_top + 1) // 2
+    for n, value in enumerate(scan.d_values):
+        assert value == fraction_free_det([[s[i + j] for j in range(n + 1)] for i in range(n + 1)]), (s, n)
+        if n <= ORACLE_MAX_N:
+            assert value == oracle_hankel_det(s, n), (s, n)
+    for n, value in enumerate(scan.d_prime_values):
+        rows = [[s[i + j] for j in range(n)] + [s[i + n + 1]] for i in range(n + 1)]
+        assert value == fraction_free_det(rows), (s, n)
+        if n <= ORACLE_MAX_N:
+            assert value == oracle_shifted_det(s, n), (s, n)
+    for n in range((m_top + 1) // 2 + 1):
+        coeffs = scan.p_coeffs(n)
+        assert coeffs == trimmed(bareiss_p(s, n)), (s, n)
+        if n <= ORACLE_MAX_N:
+            assert coeffs == trimmed(oracle_poly_coeffs(s, n)), (s, n)
+    without = hankel_scan(s)
+    assert (without.d_values, without.d_prime_values) == (scan.d_values, scan.d_prime_values)
+
+
+class TestScanMatchesElimination:
+    @settings(max_examples=100, deadline=None)
+    @given(generic)
+    def test_generic_rationals(self, s):
+        check_against_elimination(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(signs)
+    def test_entries_from_minus_one_zero_one(self, s):
+        check_against_elimination(s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rare_ones)
+    def test_mostly_zero_entries(self, s):
+        check_against_elimination(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_start)
+    def test_zero_first_moment(self, s):
+        check_against_elimination(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_rank())
+    def test_finite_rank_tails(self, s):
+        check_against_elimination(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mid_gap())
+    def test_prefix_ends_inside_a_zero_run(self, s):
+        check_against_elimination(s)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_odd_and_even_lengths_of_one_planted_gap(self, length):
+        # D_0 = 1, then a zero run of length 3 closed by s_5.
+        s = [F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)][:length]
+        check_against_elimination(s)
+
+    def test_zero_sequence(self):
+        s = [F(0)] * 9
+        scan = hankel_scan(s, polys=True)
+        assert set(scan.d_values) == set(scan.d_prime_values) == {F(0)}
+        assert [scan.p_coeffs(n) for n in range(5)] == [(F(1),), (), (), (), ()]
+
+    def test_empty_prefix_has_only_p0(self):
+        scan = hankel_scan([], polys=True)
+        assert scan.d_values == scan.d_prime_values == ()
+        assert scan.p_coeffs(0) == (F(1),)
+
+    def test_polynomials_need_polys(self):
+        with pytest.raises(ValueError):
+            hankel_scan([1, 2, 3]).p_coeffs(1)
+
+
+class TestRoutedFunctions:
+    @settings(max_examples=80, deadline=None)
+    @given(signs)
+    def test_per_index_functions_agree_with_one_scan(self, s):
+        seq = MomentSequence(tuple(s))
+        scan = hankel_scan(seq, polys=True)
+        profile = determinant_transform(seq)
+        assert profile.d_values == scan.d_values
+        assert profile.d_prime_values == scan.d_prime_values
+        assert tuple(hankel_det(seq, n) for n in range(len(scan.d_values))) == scan.d_values
+        assert tuple(shifted_det(seq, n) for n in range(len(scan.d_prime_values))) == scan.d_prime_values
+        family = p_family(seq, len(seq) // 2)
+        assert tuple(p.coeffs for p in family) == tuple(poly_P(seq, n).coeffs for n in range(len(family)))
+        assert all(second_kind(seq, family[n]) == poly_Q(seq, n) for n in range(len(family)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(generic)
+    def test_recurrence_coeffs_match_an_elimination_solve(self, s):
+        for r in range(1, len(s) // 2 + 1):
+            rows = [[s[i + j] for j in range(r)] for i in range(r)]
+            if fraction_free_det(rows) == 0:
+                with pytest.raises(SingularLeadingMinor):
+                    recurrence_coeffs(s, r)
+                continue
+            rhs = [s[r + i] for i in range(r)]
+            assert list(recurrence_coeffs(s, r).d) == solve_unique(rows, rhs)
+
+    def test_p_family_bounds(self):
+        assert len(p_family([1, 2, 3, 4], 2)) == 3
+        assert len(p_family([1, 2, 3, 4], 1)) == 2
+        with pytest.raises(IndexOutOfRange) as info:
+            p_family([1, 2, 3, 4], 3)
+        assert info.value.needed == 5
+        with pytest.raises(ValueError):
+            p_family([1, 2, 3, 4], -1)

@@ -252,6 +252,11 @@ class TestFreePolicy:
         with pytest.raises(ParseError):
             FreePolicy.parse("random")
 
+    def test_seed_must_fit_in_64_bits(self):
+        assert FreePolicy.parse(f"seed:{2**64 - 1}") == FreePolicy("seed", 2**64 - 1)
+        with pytest.raises(ParseError):
+            FreePolicy.parse(f"seed:{2**64}")
+
     def test_zeros_stream(self):
         stream = ZEROS.stream()
         assert [next(stream) for _ in range(3)] == [F(0), F(0), F(0)]

@@ -55,6 +55,13 @@ class TestPSDFiniteRankCheck:
             psd_finite_rank_check([1, 1, 2, 5, 14, 42, 132])
         assert "never vanish" in str(err.value)
 
+    def test_no_flat_region_names_the_last_computed_index(self):
+        # Four terms give D_0 and D_1 only; D_2 would need s_4.
+        with pytest.raises(NotPSDFlat) as err:
+            psd_finite_rank_check([1, 1, 2, 5])
+        assert err.value.params["n"] == 1
+        assert err.value.params["value"] == F(1)
+
     def test_reappearing_determinant(self):
         # D_0 > 0, D_1 = D_2 = 0, D_3 = -1: not a flat tail
         s = [1, 0, 0, 0, 1, 0, 0, 0]
