@@ -7,11 +7,15 @@ the weight at root lambda is the partial-fraction residue
 Q_r(lambda) / P_r'(lambda), equivalently the reciprocal of the
 Christoffel-Darboux sum  sum_{k<r} P_k(lambda)^2 / (D_k D_{k-1}).
 
-Roots are isolated with exact Sturm chains over the rationals and refined by
-bisection into guaranteed disjoint enclosures; weights are computed by both
-formulas at high precision and must agree, and the recovered measure's
-moments are re-checked against the input in outward-rounded interval
-arithmetic.  Nothing in this module trusts an unverified numeric step.
+Roots are isolated with exact Sturm chains over the rationals, and each
+isolated (simple) root is refined by the sign of P_r alone: a floating
+Newton guess proposes a much narrower cell and exact integer signs at its two
+ends must confirm it (Abbott's quadratic interval refinement), otherwise the
+cell is halved.  Both stages cut on one dyadic grid, so the enclosures are
+guaranteed disjoint.  Weights are computed by both formulas at high precision
+and must agree, and the recovered measure's moments are re-checked against
+the input in outward-rounded interval arithmetic.  Nothing in this module
+trusts an unverified numeric step.
 """
 
 from __future__ import annotations
@@ -19,15 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from mpmath import iv, libmp, mp
 
 from .core import (
+    HankelScan,
     MomentSequence,
     SequenceLike,
     as_moments,
-    determinant_transform,
     hankel_det,
     hankel_scan,
 )
@@ -42,7 +46,7 @@ from .errors import (
     ZeroSequence,
 )
 from .polynomials import ZERO, Polynomial, poly_P, second_kind
-from .rank import hankel_rank
+from .rank import recurrence_holds
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     RealScalar,
@@ -107,11 +111,15 @@ def psd_finite_rank_check(s: SequenceLike) -> int:
     certificate to confirm FiniteRank r.  Raises NotPSDFlat at the first
     offending determinant (or missing flat region) otherwise.
     """
-    seq = as_moments(s)
+    return _psd_flat_scan(as_moments(s))[0]
+
+
+def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
+    """psd_finite_rank_check's r, with the one scan (every D_n and P_n) it read."""
     if len(seq) == 0 or seq.is_zero():
         raise ZeroSequence()
-    profile = determinant_transform(seq)
-    d = profile.d_values
+    scan = hankel_scan(seq, polys=True)
+    d = scan.d_values
     r = 0
     while r < len(d) and d[r] > 0:
         r += 1
@@ -124,14 +132,15 @@ def psd_finite_rank_check(s: SequenceLike) -> int:
         raise NotPSDFlat(
             r - 1, d[r - 1], "determinants never vanish within the horizon"
         )
-    certificate = hankel_rank(seq)
-    if certificate.verdict != "FiniteRank" or certificate.rank != r:
+    # The FiniteRank(r) certificate of hankel_rank: r = 0 has none, otherwise
+    # the recurrence read off P_r must annihilate the whole prefix.
+    if r == 0 or not recurrence_holds(seq, scan.p_scaled[r], r):
         raise NotPSDFlat(
             r,
             d[r - 1] if r else Fraction(0),
             "prefix is not rank-consistent with a finite-rank extension",
         )
-    return r
+    return r, scan
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +191,20 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     return max(Fraction(1), total)
 
 
+# Guard bits of the floating Newton guess beyond the target depth.  A guess
+# only proposes a cell and exact signs decide, so this trades speed, not truth.
+_NEWTON_GUARD_BITS = 64
+
+
 def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS) -> list[Interval]:
     """Disjoint rational enclosures of ALL real roots of p, each of width
     at most 2^-precision_bits * max(1, root bound).
+
+    Every enclosure is a cell (lo, hi] of one dyadic grid over
+    [-B-1, B+1] (B the Cauchy bound): the cell at the first depth whose width
+    is at most that target, or a deeper one where two roots share it.  Sturm
+    bisection only isolates (it stops at one root per cell); each root is then
+    refined by the sign of p alone (see _refine_root).
 
     Multiple roots are counted once (the generalized Sturm chain counts
     distinct roots).  Raises RootCountMismatch when p has fewer real roots
@@ -197,25 +217,94 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
     bound = cauchy_bound(p)
     lo, hi = -bound - 1, bound + 1
     target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
-    total = _sign_changes(chain, lo) - _sign_changes(chain, hi)
-    if total < p.degree:
-        raise RootCountMismatch(p.degree, total)
+    v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
+    if v_lo - v_hi < p.degree:
+        raise RootCountMismatch(p.degree, v_lo - v_hi)
+    width = hi - lo
 
-    done: list[Interval] = []
-    pending = [(lo, hi, total)]
-    while pending:
-        a, b, count = pending.pop()
-        if count == 0:
-            continue
-        if count == 1 and b - a <= target:
-            done.append(Interval(a, b))
-            continue
-        mid = (a + b) / 2
-        left = _sign_changes(chain, a) - _sign_changes(chain, mid)
-        pending.append((a, mid, left))
-        pending.append((mid, b, count - left))
-    done.sort(key=lambda interval: interval.lo)
-    return done
+    def point(i: int, depth: int) -> Fraction:
+        """Grid point lo + width * i / 2^depth; cell i at depth is (point i, point i+1]."""
+        return lo + width * Fraction(i, 1 << depth)
+
+    ratio = width / target  # depth_k: the least k with 2^k >= ratio
+    depth_k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    cells = []
+    with mp.workprec(depth_k + _NEWTON_GUARD_BITS):
+        poly = [mp.mpf(c) for c in reversed(chain[0])]
+        lo_mp, width_mp = (mp.mpf(v.numerator) / v.denominator for v in (lo, width))
+
+        def newton(z):
+            """One Newton step for the root of p, in grid coordinates z = (x - lo) / width."""
+            value, slope = mp.polyval(poly, lo_mp + width_mp * z, derivative=True)
+            return z - value / (width_mp * slope) if slope else z
+
+        pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
+        while pending:
+            i, depth, v_left, v_right = pending.pop()
+            count = v_left - v_right
+            if count == 1:
+                cells.append(_refine_root(chain[0], point, newton, i, depth, depth_k))
+            elif count > 1:
+                v_mid = _sign_changes(chain, point(2 * i + 1, depth + 1))
+                pending.append((2 * i, depth + 1, v_left, v_mid))
+                pending.append((2 * i + 1, depth + 1, v_mid, v_right))
+    intervals = [Interval(point(i, depth), point(i + 1, depth)) for i, depth in cells]
+    intervals.sort(key=lambda interval: interval.lo)
+    return intervals
+
+
+def _refine_root(
+    coeffs: tuple[int, ...],
+    point: Callable[[int, int], Fraction],
+    newton: Callable,
+    i: int,
+    depth: int,
+    depth_k: int,
+) -> tuple[int, int]:
+    """(index, depth) of the cell at depth max(depth, depth_k) holding the one
+    root of p in cell i at depth.
+
+    Quadratic interval refinement (Abbott, ISSAC 2006) on the sign of p
+    alone: the root is simple and alone in its cell, so p changes sign across
+    it and keeps the sign of the right end s on (root, hi].  A Newton guess
+    names one of the 2^step subcells; it is accepted only when the exact signs
+    at the subcell's ends bracket the root, and step doubles.  Otherwise the
+    cell is halved by the sign at its midpoint and step halves.  A zero sign
+    puts the root on that grid point, whose target-depth cell ends there.
+    """
+    if depth >= depth_k:
+        return i, depth
+
+    def ending_at(j: int, d: int) -> tuple[int, int]:
+        return (j << (depth_k - d)) - 1, depth_k
+
+    s = _sign_at(coeffs, point(i + 1, depth))
+    if s == 0:
+        return ending_at(i + 1, depth)
+    z = mp.ldexp(2 * i + 1, -(depth + 1))
+    step = 2
+    while depth < depth_k:
+        step = min(step, depth_k - depth)
+        z = newton(z)
+        last = (1 << step) - 1
+        j = min(max(int(mp.floor(mp.ldexp(z, depth + step))) - (i << step), 0), last)
+        sub, sub_depth = (i << step) + j, depth + step
+        s_left = -s if j == 0 else _sign_at(coeffs, point(sub, sub_depth))
+        if s_left == 0:
+            return ending_at(sub, sub_depth)
+        if s_left == -s:
+            s_right = s if j == last else _sign_at(coeffs, point(sub + 1, sub_depth))
+            if s_right == 0:
+                return ending_at(sub + 1, sub_depth)
+            if s_right == s:
+                i, depth, step = sub, sub_depth, 2 * step
+                continue
+        s_mid = _sign_at(coeffs, point(2 * i + 1, depth + 1))
+        if s_mid == 0:
+            return ending_at(2 * i + 1, depth + 1)
+        i, depth, step = 2 * i + (s_mid != s), depth + 1, max(1, step // 2)
+        z = mp.ldexp(2 * i + 1, -(depth + 1))
+    return i, depth
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +320,7 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
     on every atom, and every weight must be strictly positive.
     """
     seq = as_moments(s)
-    r = psd_finite_rank_check(seq)
-    scan = hankel_scan(seq.prefix(2 * r), polys=True)  # D_0..D_{r-1}, P_0..P_r
+    r, scan = _psd_flat_scan(seq)
     family = [Polynomial(scan.p_coeffs(k)) for k in range(r + 1)]
     p_r = family[r]
     q_r = second_kind(seq, p_r)
@@ -307,22 +395,8 @@ def verify_moments(
         locations = [
             iv.mpf(
                 (
-                    mp.make_mpf(
-                        libmp.from_rational(
-                            atom.enclosure.lo.numerator,
-                            atom.enclosure.lo.denominator,
-                            precision_bits,
-                            libmp.round_floor,
-                        )
-                    ),
-                    mp.make_mpf(
-                        libmp.from_rational(
-                            atom.enclosure.hi.numerator,
-                            atom.enclosure.hi.denominator,
-                            precision_bits,
-                            libmp.round_ceiling,
-                        )
-                    ),
+                    _iv_from_fraction(atom.enclosure.lo, precision_bits).a,
+                    _iv_from_fraction(atom.enclosure.hi, precision_bits).b,
                 )
             )
             for atom in measure.atoms

@@ -15,11 +15,12 @@ prefix consistency, so the certificate records how far it looked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .approximants import ApproxRecurrence, approx_sequence, recurrence_coeffs
+from .approximants import ApproxRecurrence, approx_sequence
 from .core import (
     DeterminantProfile,
     MomentSequence,
@@ -28,6 +29,7 @@ from .core import (
     determinant_transform,
     echelonize,
     hankel_det,
+    hankel_scan,
 )
 from .errors import DegreeViolation, IndexOutOfRange, SingularLeadingMinor
 from .polynomials import Polynomial, poly_P, poly_Q
@@ -98,20 +100,27 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
             r_star = n + 1
     if r_star == 0 or 2 * r_star - 1 > seq.max_index:
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    p = poly_P(seq, r_star).padded(r_star + 1)
-    lead = p[r_star]  # = D_{r_star - 1}
-    consistent = True
-    for m in range(seq.max_index - r_star + 1):
-        acc = lead * seq[r_star + m]
-        for k in range(r_star):
-            acc += p[k] * seq[k + m]
-        if acc != 0:
-            consistent = False
-            break
-    if not consistent:
+    scan = hankel_scan(seq.prefix(2 * r_star), polys=True)
+    if not recurrence_holds(seq, scan.p_scaled[r_star], r_star):
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    witness = recurrence_coeffs(seq, r_star)
+    p = scan.p_coeffs(r_star)
+    lead = p[r_star]  # = D_{r_star - 1}
+    witness = ApproxRecurrence(r_star, tuple(-p[k] / lead for k in range(r_star)))
     return RankCertificate("FiniteRank", r_star, seq.horizon, witness, profile)
+
+
+def recurrence_holds(seq: MomentSequence, p: Sequence[int], r: int) -> bool:
+    """Whether sum_{k<=r} p_k s_{k+m} = 0 for every in-prefix m >= 0.
+
+    p holds integer coefficients of P_r, lowest first, with absent high ones
+    zero (the scan's lambda^r-scaled P_r); the sequence is scaled to integers
+    by the lcm of its denominators, so the check is exact integer arithmetic.
+    """
+    scale = math.lcm(*(t.denominator for t in seq))
+    s = [t.numerator * (scale // t.denominator) for t in seq]
+    return all(
+        sum(c * x for c, x in zip(p, s[m : m + r + 1])) == 0 for m in range(len(s) - r)
+    )
 
 
 def rational_form(s: SequenceLike, r: int) -> RationalForm:
@@ -208,15 +217,8 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
         value == 0 for value in profile.d_values[r:]
     )
 
-    p = poly_P(seq, r).padded(r + 1)
-    recurrence_holds = True
-    for shift in range(m - r + 1):
-        acc = p[r] * seq[r + shift]
-        for k in range(r):
-            acc += p[k] * seq[k + shift]
-        if acc != 0:
-            recurrence_holds = False
-            break
+    p = hankel_scan(seq.prefix(2 * r), polys=True).p_scaled[r]
+    annihilates = recurrence_holds(seq, p, r)
 
     if r >= 1 and hankel_det(seq, r - 1) != 0:
         approximant_match = approx_sequence(seq, r, m) == seq
@@ -231,7 +233,7 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
     return {
         "window_rank": window_rank,
         "determinants_vanish": determinants_vanish,
-        "recurrence_holds": recurrence_holds,
+        "recurrence_holds": annihilates,
         "approximant_match": approximant_match,
         "rational_expansion_match": rational_expansion_match,
     }

@@ -8,6 +8,7 @@ extractions are carried as :class:`RealScalar`: an arbitrary-precision
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -22,9 +23,38 @@ RationalLike = Union[Fraction, int, str]
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
 
+# Python's default limit on int <-> str conversion, which already rejects
+# longer digit strings; exponent notation must not expand past it either.
+MAX_RATIONAL_DIGITS = 4300
+_DECIMAL = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*"
+
+
+def _check_expanded_size(text: str) -> None:
+    """Raise ParseError when a decimal or exponent string expands past MAX_RATIONAL_DIGITS.
+
+    m.f e x is int(mf) * 10^shift with shift = x - len(f): before reduction
+    the numerator has len(mf) + max(shift, 0) digits at most and the
+    denominator 1 + max(-shift, 0).
+    """
+    match = re.fullmatch(_DECIMAL, text)  # compiled on first use, not at import
+    if match is None:
+        return  # malformed: Fraction rejects it
+    whole, fraction, exponent = (part.replace("_", "") for part in match.groups(""))
+    try:
+        shift = int(exponent or "0") - len(fraction)
+    except ValueError as exc:
+        raise ParseError(f"not a rational: {text!r}") from exc
+    digits = max(len(whole) + len(fraction) + max(shift, 0), 1 + max(-shift, 0))
+    if digits > MAX_RATIONAL_DIGITS:
+        raise ParseError(f"rational expands past {MAX_RATIONAL_DIGITS} digits: {text[:40]!r}")
+
 
 def parse_rational(value: RationalLike) -> Fraction:
-    """Parse an exact rational from ``"p/q"`` / ``"p"`` strings or integers."""
+    """Parse an exact rational from ``"p/q"`` / ``"p"`` strings or integers.
+
+    Decimal and exponent strings (``"1.5e3"``) are accepted when their
+    numerator and denominator stay within MAX_RATIONAL_DIGITS digits.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -32,6 +62,8 @@ def parse_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "." in value or "e" in value or "E" in value:
+            _check_expanded_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Sequence
 
 
@@ -118,6 +119,53 @@ def oracle_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if row == n_rows:
             break
     return rank
+
+
+def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fraction]]:
+    """Enclosures (lo, hi] of the real roots of a Polynomial by plain Sturm bisection.
+
+    The whole chain is evaluated exactly at both ends of every cell,
+    and every cell holding a root is halved until it is at most
+    max(1, B) / 2^precision_bits wide (B the Cauchy bound) and holds one
+    root.  Cells start from [-B-1, B+1] and always split at their midpoint.
+    """
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    chain.pop()
+    # Positive rescalings keep every sign: integer coefficients, lowest first.
+    integer_chain = []
+    for q in chain:
+        scale = 1
+        for c in q.coeffs:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        integer_chain.append([int(c * scale) for c in q.coeffs])
+
+    def variations(x: Fraction) -> int:
+        num, den = x.numerator, x.denominator
+        values = [
+            sum(c * num**i * den ** (len(q) - 1 - i) for i, c in enumerate(q))
+            for q in integer_chain
+        ]
+        signs = [v > 0 for v in values if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    lead = p.coeffs[-1]
+    bound = max(Fraction(1), sum((abs(c / lead) for c in p.coeffs[:-1]), Fraction(0)))
+    target = bound / 2**precision_bits
+    done = []
+    pending = [(-bound - 1, bound + 1)]
+    while pending:
+        a, b = pending.pop()
+        count = variations(a) - variations(b)
+        if count == 0:
+            continue
+        if count == 1 and b - a <= target:
+            done.append((a, b))
+            continue
+        mid = (a + b) / 2
+        pending += [(a, mid), (mid, b)]
+    return sorted(done)
 
 
 # ---------------------------------------------------------------------------

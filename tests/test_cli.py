@@ -312,6 +312,13 @@ class TestUsageAndParsing:
         code, _, err = run(capsys, ["det", path])
         assert code == 2
 
+    def test_oversized_exponent_is_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", "1e200000", "3/2"]})
+        code, out, err = run(capsys, ["det", path])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["kind"] == "parse_error"
+
     def test_precision_floor(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})
         code, _, _ = run(

@@ -18,6 +18,7 @@ from hankelkit import (
     hankel_matrix,
     hankel_minor,
     matrix_rank,
+    parse_rational,
     shifted_det,
 )
 from hankelkit.core import bottom_row_minors, echelonize, fraction_free_det, solve_unique
@@ -43,6 +44,16 @@ class TestMomentSequence:
             MomentSequence.from_values([0.5])
         with pytest.raises(ParseError):
             MomentSequence.from_values([True])
+
+    def test_exponent_notation_is_bounded(self):
+        assert parse_rational("3/2") == F(3, 2)
+        assert parse_rational("-7") == F(-7)
+        assert parse_rational("1.5e3") == F(1500)
+        assert parse_rational("1e-4299") == F(1, 10**4299)
+        # 10^4300 has 4301 digits; "1e2000000" took a second to build before.
+        for text in ("1e4300", "1e-4300", "1e200000", "1e2000000", "0e999999", "12.5e4299"):
+            with pytest.raises(ParseError):
+                parse_rational(text)
 
     def test_json_roundtrip(self):
         seq = MomentSequence.from_values(["1", "-3/7", "0"])

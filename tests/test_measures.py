@@ -4,10 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from hankelkit import measures
 from hankelkit import (
     DegreeViolation,
+    Interval,
     NotPSDFlat,
     NotQuasiDefinite,
     Polynomial,
@@ -26,7 +30,14 @@ from hankelkit import (
 )
 from hankelkit.polynomials import ZERO
 
-from oracles import random_sequence
+from oracles import oracle_isolate_real_roots, random_sequence
+
+
+def linear_product(roots):
+    p = Polynomial([1])
+    for x in roots:
+        p = p * Polynomial([-x, 1])
+    return p
 
 
 def random_atoms(rng, r, span=5):
@@ -131,10 +142,67 @@ class TestRootIsolation:
             for x, interval in zip(locations, intervals):
                 assert interval.lo < x <= interval.hi
 
+    def test_refinement_uses_few_exact_evaluations(self, monkeypatch):
+        # Rank 12, atoms n/7, 256 bits: from its isolating cell each root is
+        # about 244 halvings from the target width, so a refinement that
+        # falls back to bisection makes at least that many evaluations.
+        evaluations, refining = [0], [False]
+        sign_at, refine_root = measures._sign_at, measures._refine_root
+
+        def counting_sign_at(coeffs, x):
+            evaluations[0] += refining[0]
+            return sign_at(coeffs, x)
+
+        def flagged_refine_root(*args):
+            refining[0] = True
+            try:
+                return refine_root(*args)
+            finally:
+                refining[0] = False
+
+        monkeypatch.setattr(measures, "_sign_at", counting_sign_at)
+        monkeypatch.setattr(measures, "_refine_root", flagged_refine_root)
+        s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
+        assert recover_measure(s, 256).r == 12
+        assert 0 < evaluations[0] <= 24 * 12
+
     def test_json(self):
         payload = isolate_real_roots(Polynomial([-2, 1]), 64)[0].to_json()
         assert isinstance(payload, list) and len(payload) == 2
         assert all(isinstance(v, str) for v in payload)
+
+
+dyadic_roots = st.one_of(
+    st.integers(-8, 8).map(F), st.integers(-16, 16).map(lambda n: F(n, 2))
+)
+rational_roots = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+# Two roots 2^-e apart: closer than the target width for most e at 64 bits
+# and for some at 256, so Sturm bisection has to separate them past it.
+close_pairs = st.builds(
+    lambda x, e: [x, x + F(1, 2**e)], st.one_of(dyadic_roots, rational_roots), st.integers(40, 300)
+)
+root_sets = st.builds(
+    lambda roots, pairs: sorted(set(roots + [x for pair in pairs for x in pair])),
+    st.lists(st.one_of(dyadic_roots, rational_roots), min_size=1, max_size=4),
+    st.lists(close_pairs, max_size=1),
+)
+
+
+class TestRefinementAgainstBisection:
+    """Sturm isolation plus sign refinement returns the cells plain bisection does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(root_sets, st.sampled_from([64, 256]))
+    @example([F(0), F(1)], 64)  # 0 is the first isolation split, 1 a grid point
+    @example([F(-1), F(0), F(1)], 256)
+    @example([F(1, 2), F(1, 2) + F(1, 2**300)], 256)
+    @example([F(-3), F(1, 3), F(1, 3) + F(1, 2**70)], 64)
+    def test_products_of_linear_factors(self, roots, bits):
+        p = linear_product(roots)
+        intervals = isolate_real_roots(p, bits)
+        expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
+        assert intervals == expected
+        assert all(iv.lo < x <= iv.hi for x, iv in zip(roots, intervals))
 
 
 class TestRecoverMeasure:
