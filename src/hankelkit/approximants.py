@@ -43,10 +43,10 @@ from .scalars import format_rational
 
 @dataclass(frozen=True)
 class ApproxRecurrence:
-    """Recurrence data (r, d_0..d_{r-1}) generating the rank-r extension s^(r)."""
+    """Recurrence data (r, d_0..d_{r-1}), Fraction or mpf, generating the rank-r extension s^(r)."""
 
     r: int
-    d: tuple[Fraction, ...]
+    d: tuple
 
     def to_json(self) -> dict:
         return {"r": self.r, "d": [format_rational(v) for v in self.d]}
@@ -81,13 +81,14 @@ def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
     return ApproxRecurrence(r, tuple(-p[k] / lead for k in range(r)))
 
 
-def _extension_values(seq: MomentSequence, rec: ApproxRecurrence, upto: int) -> list[Fraction]:
-    """Values s^(r)_0..s^(r)_upto: copied prefix, then the recurrence."""
+def _extension_values(seq: Sequence, rec: ApproxRecurrence, upto: int) -> list:
+    """Values s^(r)_0..s^(r)_upto: copied prefix, then the recurrence, summed in
+    index order from the first product (seq and rec.d: Fraction or mpf)."""
     r = rec.r
     values = [seq[i] for i in range(min(2 * r, upto + 1))]
     for idx in range(2 * r, upto + 1):
-        acc = Fraction(0)
-        for k in range(r):
+        acc = rec.d[0] * values[idx - r]
+        for k in range(1, r):
             acc += rec.d[k] * values[idx - r + k]
         values.append(acc)
     return values

@@ -9,11 +9,12 @@ transform.  Everything here is exact.
 Every D_n, D'_{n+1} and determinant polynomial P_n of a prefix comes from
 one O(M^2) pass (:func:`hankel_scan`): it closes each run of vanishing
 determinants by the gap formula and advances P_n by the block three-term
-recurrence, on Python integers.  Fraction-free (Bareiss) elimination on
-integer matrices obtained by clearing denominators row by row remains for
-single minors (:func:`hankel_minor`), for solving and ranking small systems,
-and as the independent route the tests and the inverse-problem certificate
-check the pass against.
+recurrence, on integers over one denominator, reduced at every step.  One
+fraction-free (Bareiss) elimination
+kernel, on rows cleared to integers, serves everything else: determinants
+and single minors (:func:`hankel_minor`), rank, solves, maximal minors, and
+the exact inverse-problem certificate.  It is also the independent route
+the tests check the pass against.
 
 All statements about "all n" are certified only up to the prefix horizon
 (the number of known terms); results carry that horizon where relevant.
@@ -104,117 +105,94 @@ class DeterminantProfile:
 
 
 # ---------------------------------------------------------------------------
-# Exact elimination kernels
+# Exact elimination kernel
 # ---------------------------------------------------------------------------
 
 
-def _clear_denominators(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Scale each row to integers by its denominator lcm; return (matrix, product of scalings)."""
-    cleared: list[list[int]] = []
-    scaling = 1
-    for row in rows:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        scaling *= lcm
-        cleared.append([int(x * lcm) for x in row])
-    return cleared, scaling
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale rationals to integers by the lcm of their denominators; return (integers, lcm)."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _bareiss(
+    rows: Sequence[Sequence[Fraction]], stop_at_gap: bool = False
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Rank-revealing fraction-free (Bareiss) row echelon form.
+
+    Rows are first scaled to integers by their denominator lcm.  A column's
+    first nonzero entry below the earlier pivots is its pivot: with exact
+    arithmetic any nonzero pivot is as good as any other.  A pivot step sets
+    row = (pivot * row - entry * pivot row) / previous pivot, an exact
+    division whose k-th pivot is the minor on the first k rows and pivot
+    columns (Sylvester's identity).  A column without a pivot is skipped, or
+    with stop_at_gap ends the elimination.  Returns (integer echelon rows,
+    pivot columns, row-swap sign, product of the row scalings).
+    """
+    scaled = [scale_to_integers(row) for row in rows]
+    m = [ints for ints, _ in scaled]
+    scaling = math.prod(lcm for _, lcm in scaled)
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivot_cols: list[int] = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        k = len(pivot_cols)
+        if k == nrows:
+            break
+        pivot = next((i for i in range(k, nrows) if m[i][col] != 0), None)
+        if pivot is None:
+            if stop_at_gap:
+                break
+            continue
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][col]
+        row_k = m[k]
+        for i in range(k + 1, nrows):
+            row_i = m[i]
+            mik = row_i[col]
+            for j in range(col + 1, ncols):
+                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
+            row_i[col] = 0
+        prev = pk
+        pivot_cols.append(col)
+    return m, pivot_cols, sign, scaling
 
 
 def fraction_free_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via one-step Bareiss elimination (denominators cleared first)."""
+    """Exact determinant of a square matrix: the last Bareiss pivot, unscaled."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m, scaling = _clear_denominators([list(r) for r in rows])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
+    m, pivot_cols, sign, scaling = _bareiss(rows, stop_at_gap=True)
+    if len(pivot_cols) < n:
+        return Fraction(0)
     return Fraction(sign * m[n - 1][n - 1], scaling)
 
 
 def solve_unique(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system by the same fraction-free elimination.
+    """Solve a nonsingular square system by Cramer's rule on the maximal minors of [A | b].
 
     Raises ValueError on a singular matrix; callers are expected to have
     checked the relevant leading determinant already.
     """
     n = len(rows)
-    m, _ = _clear_denominators([list(r) + [b] for r, b in zip(rows, rhs)])
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                raise ValueError("singular system")
-            m[k], m[pivot] = m[pivot], m[k]
-        pk = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
-    return x
+    minors = bottom_row_minors([list(r) + [b] for r, b in zip(rows, rhs)])
+    if minors[n] == 0:  # det A
+        raise ValueError("singular system")
+    return [(-1) ** (n + j + 1) * minors[j] / minors[n] for j in range(n)]
 
 
-def echelonize(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], int, list[int]]:
-    """Reduce to row echelon form using only row swaps and row additions.
+def echelonize(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int, list[int]]:
+    """Row echelon form by the Bareiss kernel: (integer rows, swap sign, pivot columns).
 
-    Those operations preserve every maximal minor up to the swap sign, which
-    is what the bordered-determinant expansion below relies on.  Returns
-    (echelon matrix, swap sign, pivot columns).  Pivot search scans the
-    remaining rows and columns deterministically; with exact arithmetic any
-    nonzero pivot is as good as any other.
+    The rows span the input's row space, so the pivot count is its rank, but
+    they are scaled Bareiss rows: their minors are not the input's.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    sign = 1
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        pivot = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[row], m[pivot] = m[pivot], m[row]
-            sign = -sign
-        pv = m[row][col]
-        row_r = m[row]
-        for i in range(row + 1, nrows):
-            if m[i][col] != 0:
-                factor = m[i][col] / pv
-                row_i = m[i]
-                for j in range(col, ncols):
-                    row_i[j] -= factor * row_r[j]
-        pivot_cols.append(col)
-        row += 1
+    m, pivot_cols, sign, _ = _bareiss(rows)
     return m, sign, pivot_cols
 
 
@@ -223,30 +201,24 @@ def bottom_row_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 
     If the matrix has full row rank, its kernel is spanned by the vector
     w_j = c (-1)^j M_j (Cramer); one elimination yields both a kernel vector
-    and one known minor (the pivot-column product), which fixes the scale c.
-    Rank < n makes every maximal minor zero.
+    and the minor deleting the one non-pivot column q (sign * last pivot /
+    scaling), which fixes the scale c.  Rank < n makes every maximal minor zero.
     """
     n = len(rows)
-    width = n + 1
     if n == 0:
         return [Fraction(1)]
-    echelon, sign, pivot_cols = echelonize(rows)
+    m, pivot_cols, sign, scaling = _bareiss(rows)
     if len(pivot_cols) < n:
-        return [Fraction(0)] * width
-    q = next(c for c in range(width) if c not in pivot_cols)
-    minor_q = Fraction(sign)
-    for i, c in enumerate(pivot_cols):
-        minor_q *= echelon[i][c]
-    w = [Fraction(0)] * width
+        return [Fraction(0)] * (n + 1)
+    q = next(c for c in range(n + 1) if c not in pivot_cols)
+    minor_q = Fraction(sign * m[n - 1][pivot_cols[-1]], scaling)
+    w = [Fraction(0)] * (n + 1)
     w[q] = Fraction(1)
     for i in range(n - 1, -1, -1):
         c = pivot_cols[i]
-        acc = Fraction(0)
-        for j in range(c + 1, width):
-            if w[j] != 0:
-                acc += echelon[i][j] * w[j]
-        w[c] = -acc / echelon[i][c]
-    return [minor_q * w[j] if (j + q) % 2 == 0 else -minor_q * w[j] for j in range(width)]
+        acc = sum((m[i][j] * w[j] for j in range(c + 1, n + 1) if w[j] != 0), Fraction(0))
+        w[c] = -acc / m[i][c]
+    return [minor_q * w[j] if (j + q) % 2 == 0 else -minor_q * w[j] for j in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +230,21 @@ def bottom_row_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 class HankelScan:
     """Every D_n (2n <= M), D'_{n+1} (2n+1 <= M) and optionally P_n (2n-1 <= M).
 
-    The P_n are kept as integer coefficients of the scaled sequence
-    lambda*s (lambda the lcm of the prefix denominators), whose bordered
-    determinants are lambda^n P_n; :meth:`p_coeffs` divides the scale out.
+    P_n is kept as the rational p_factor[n] times the integer coefficients
+    p_int[n]; :meth:`p_coeffs` multiplies them out.
     """
 
     d_values: tuple[Fraction, ...]
     d_prime_values: tuple[Fraction, ...]
-    scale: int
-    p_scaled: Optional[tuple[tuple[int, ...], ...]]
+    p_int: Optional[tuple[tuple[int, ...], ...]]
+    p_factor: Optional[tuple[Fraction, ...]]
 
     def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
-        if self.p_scaled is None:
+        if self.p_int is None:
             raise ValueError("scan was run without polynomials")
-        den = self.scale**n
-        return tuple(Fraction(c, den) for c in self.p_scaled[n])
+        factor = self.p_factor[n]
+        return tuple(Fraction(c * factor.numerator, factor.denominator) for c in self.p_int[n])
 
 
 def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
@@ -292,25 +263,28 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     orthogonality to x^r .. x^{r+d} is a (d+1)-row triangular system in the
     rest of A.  The same combination updates the modified moments.
 
-    Everything runs on the scaled integer sequence lambda*s, where every
-    quantity is a determinant of an integer matrix, so each updated entry is
-    one exact integer division by the common denominator of A and beta.
+    Each full-degree P_k and its m_k are integer vectors over one denominator
+    q_k, from M_0 = lambda s and P'_0 = q_0 = lambda, the lcm of the prefix
+    denominators.  A step combines them with integer coefficients over k, then
+    divides k and the vectors by their gcd, so the integers stay as long as the
+    values; as determinants of lambda*s they would carry lambda^k, out of all
+    proportion when late terms have long denominators.  D, u, a, beta: Fractions.
     """
     terms = as_moments(s).terms
     m_top = len(terms) - 1
-    scale = math.lcm(*(t.denominator for t in terms))
-    s = [t.numerator * (scale // t.denominator) for t in terms]
-    d_out = [0] * (m_top // 2 + 1)
-    dp_out = [0] * ((m_top + 1) // 2)
-    p_out: Optional[list[tuple[int, ...]]] = [()] * ((m_top + 1) // 2 + 1) if polys else None
+    m_cur, q_cur = scale_to_integers(terms)  # m_0 = s: lambda s over lambda
+    d_out = [Fraction(0)] * (m_top // 2 + 1)
+    dp_out = [Fraction(0)] * ((m_top + 1) // 2)
+    n_polys = (m_top + 1) // 2 + 1 if polys else 0
+    p_out: list[tuple[int, ...]] = [()] * n_polys
+    f_out = [Fraction(0)] * n_polys
     if polys:
-        p_out[0] = (1,)
+        p_out[0], f_out[0] = (q_cur,), Fraction(1, q_cur)
 
     r = 0
-    d_prev = 1  # D_{r-1}, with D_{-1} = 1
-    m_cur = s  # m_r[j] for r <= j <= M - r
-    m_prev = [0] * (m_top + 2)  # L(x^j P_{r-1}), with P_{-1} = 0
-    p_cur: list[int] = [1]
+    d_prev = Fraction(1)  # D_{r-1}, with D_{-1} = 1
+    m_prev, f_prev = [0] * (m_top + 2), Fraction(1)  # P_{-1} = 0
+    p_cur: list[int] = [q_cur] if polys else []  # P_0 = 1: lambda over lambda; no P without polys
     p_prev: list[int] = []
     while 2 * r <= m_top:
         j = r
@@ -319,66 +293,60 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
         if j > m_top - r:
             break  # the zero run reaches the horizon: every later D, D', P is 0
         gap = j - r
-        u = m_cur[j]
+        u_int = m_cur[j]
+        u = Fraction(u_int, q_cur)
         n = r + gap  # the next nonzero determinant, D_{r+gap}
         sign = -1 if (gap * (gap + 1) // 2) % 2 else 1
-        d_new = sign * (u ** (gap + 1) // d_prev**gap)
+        d_new = sign * u ** (gap + 1) / d_prev**gap if gap else u
         if n < len(d_out):
             d_out[n] = d_new
         if r < len(dp_out):
-            dp_out[r] = m_cur[r + 1]  # D'_{r+1} = L(x^{r+1} P_r)
-        # P_n = gamma P_r and its moments; they are P_{r-1} of the next block.
-        if gap:
-            m_gamma = [d_new * x // u for x in m_cur]
-            p_gamma = [d_new * c // u for c in p_cur] if polys else p_cur
-        else:
-            m_gamma, p_gamma = m_cur, p_cur
-        if n < len(dp_out):
-            dp_out[n] = m_gamma[n + 1]
-        if polys and n < len(p_out):
-            p_out[n] = tuple(p_gamma)
+            dp_out[r] = Fraction(m_cur[r + 1], q_cur)  # D'_{r+1} = L(x^{r+1} P_r)
+        # P_n = gamma P_r: the same integers, their factor times gamma; P_{r-1} of the next block.
+        f_gamma = d_new / (u * q_cur) if gap else Fraction(1, q_cur)
+        if gap and n < len(dp_out):
+            dp_out[n] = f_gamma * m_cur[n + 1]
+        if n < n_polys:
+            p_out[n], f_out[n] = tuple(p_cur), f_gamma
 
         r_next = n + 1
         if 2 * r_next - 1 > m_top:
             break
-        a: list[Fraction] = [Fraction(0)] * (gap + 2)
-        a[gap + 1] = Fraction(d_new, d_prev)
-        beta = -a[gap + 1] * u / d_prev if r else Fraction(0)
-        for t in range(gap + 1):
-            acc = beta * m_prev[r + t]
-            for i in range(gap - t + 1, gap + 2):
-                acc += a[i] * m_cur[r + t + i]
-            a[gap - t] = -acc / u
-        den = math.lcm(beta.denominator, *(x.denominator for x in a))
-        a_int = [x.numerator * (den // x.denominator) for x in a]
-        beta_int = beta.numerator * (den // beta.denominator)
+        # Integer coefficients c (on x^i M_r) and c_b (on M_{r-1}) of the recurrence, over k.
+        ratio = d_new / d_prev  # a_{gap+1}
+        b = -ratio * u / d_prev * f_prev if r else Fraction(0)
+        (c_top, c_b), k = scale_to_integers([ratio / q_cur, b])
+        c = [0] * (gap + 1) + [c_top]
+        for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
+            acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
+            c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
+            c[gap - t] = -acc
+        h = math.gcd(k, c_b, *c)
+        c, c_b, k = [x // h for x in c], c_b // h, k // h
 
         lo, hi = r_next, m_top - r_next
-        acc_m = [beta_int * x for x in m_prev[lo : hi + 1]]
-        for i, ai in enumerate(a_int):
-            if ai:
-                acc_m = [x + ai * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
-        m_next = [0] * lo + [x // den for x in acc_m]
-        if polys:
-            acc_p = [beta_int * c for c in p_prev] + [0] * (r_next + 1 - len(p_prev))
-            for i, ai in enumerate(a_int):
-                if ai:
-                    for k, c in enumerate(p_cur):
-                        acc_p[i + k] += ai * c
-            p_next = [x // den for x in acc_p]
-            if r_next < len(p_out):
-                p_out[r_next] = tuple(p_next)
-            p_prev, p_cur = p_gamma, p_next
-        r, d_prev, m_prev, m_cur = r_next, d_new, m_gamma, m_next
+        acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
+        for i, ci in enumerate(c):
+            if ci:
+                acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
+        acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
+        for i, ci in enumerate(c):
+            if ci:
+                for e, x in enumerate(p_cur):
+                    acc_p[i + e] += ci * x
+        g = math.gcd(k, *acc_m, *acc_p)  # what the integers share with the denominator
+        m_next, q_next = [0] * lo + [x // g for x in acc_m], k // g
+        p_prev, p_cur = p_cur, [x // g for x in acc_p]
+        if r_next < n_polys:
+            p_out[r_next], f_out[r_next] = tuple(p_cur), Fraction(1, q_next)
+        r, d_prev = r_next, d_new
+        m_prev, f_prev, m_cur, q_cur = m_cur, f_gamma, m_next, q_next
 
-    powers = [1]
-    for _ in range(len(d_out)):
-        powers.append(powers[-1] * scale)
     return HankelScan(
-        d_values=tuple(Fraction(v, powers[n + 1]) for n, v in enumerate(d_out)),
-        d_prime_values=tuple(Fraction(v, powers[n + 1]) for n, v in enumerate(dp_out)),
-        scale=scale,
-        p_scaled=None if p_out is None else tuple(p_out),
+        d_values=tuple(d_out),
+        d_prime_values=tuple(dp_out),
+        p_int=tuple(p_out) if polys else None,
+        p_factor=tuple(f_out) if polys else None,
     )
 
 

@@ -16,10 +16,13 @@ via a real g-th root (positive branch when g is even).  Entries the
 determinants do not constrain are filled by a policy: zeros, or seeded
 pseudorandom rationals.
 
-When every required root is rational the whole run is exact; otherwise the
-construction restarts in big-float arithmetic at a configurable precision and
-the recomputed-determinant certificate enforces the requested tolerance.
-Either way a solution is verified before it is returned.
+When every required root is rational the whole run is exact, and the
+extension's recurrence is read off P_{n_k+1} from `hankel_scan`; otherwise the
+construction restarts in big-float arithmetic at a configurable precision,
+solves for the recurrence with partial pivoting, and the
+recomputed-determinant certificate enforces the requested tolerance.  Either
+way a solution is verified before it is returned; the exact certificate
+recomputes every D_n by Bareiss elimination, independent of the scan.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from typing import Iterator, Optional, Sequence, Union
 from mpmath import mp
 import mpmath
 
-from .core import MomentSequence, fraction_free_det, hankel_matrix, solve_unique
+from .approximants import ApproxRecurrence, _extension_values, recurrence_coeffs
+from .core import MomentSequence, fraction_free_det, hankel_matrix
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -267,8 +271,7 @@ def _construct(
         def lift(fr: Fraction):
             return fr
 
-        def solve(rows, rhs):
-            return solve_unique(rows, rhs)
+        recurrence = recurrence_coeffs
 
         def root(value, k: int):
             result = exact_kth_root(value, k)
@@ -282,34 +285,21 @@ def _construct(
         def lift(fr: Fraction):
             return to_mpf(fr, bits)
 
-        def solve(rows, rhs):
+        def recurrence(values: list, r: int) -> ApproxRecurrence:
+            rows = [[values[i + j] for j in range(r)] for i in range(r)]
+            rhs = [values[r + i] for i in range(r)]
             with mp.workprec(bits):
                 try:
                     solution = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
                 except ZeroDivisionError:  # mpmath: "matrix is numerically singular"
                     raise PrecisionExhausted(bits, "inf", tol) from None
-            return list(solution)
+            return ApproxRecurrence(r, tuple(solution))
 
         def root(value, k: int):
             return real_kth_root(value, k, bits)
 
     def draw():
         return lift(next(draws))
-
-    def extend(values: list, coeffs: list, upto: int) -> list:
-        r = len(coeffs)
-        out = list(values[: 2 * r])
-        for idx in range(2 * r, upto + 1):
-            acc = zero
-            for k in range(r):
-                acc = acc + coeffs[k] * out[idx - r + k]
-            out.append(acc)
-        return out
-
-    def recurrence(values: list, r: int) -> list:
-        rows = [[values[i + j] for j in range(r)] for i in range(r)]
-        rhs = [values[r + i] for i in range(r)]
-        return solve(rows, rhs)
 
     s: list = []
     n0 = support[0]
@@ -322,8 +312,8 @@ def _construct(
         a, b = support[k], support[k + 1]
         g = b - a
         s.append(draw())  # s_{2a+1}: free, but needed to define the extension
-        coeffs = recurrence(s, a + 1)
-        sigma = extend(s, coeffs, 2 * b)
+        rec = recurrence(s, a + 1)
+        sigma = _extension_values(s, rec, 2 * b)
         ratio = lift(targets[b]) / lift(targets[a])
         if g == 1:
             s.append(sigma[2 * b] + ratio)
@@ -336,8 +326,8 @@ def _construct(
     last = support[-1]
     if last < n_top:
         s.append(draw())  # s_{2·last+1}
-        coeffs = recurrence(s, last + 1)
-        sigma = extend(s, coeffs, 2 * n_top)
+        rec = recurrence(s, last + 1)
+        sigma = _extension_values(s, rec, 2 * n_top)
         s.extend(sigma[2 * last + 2 :])
     return s
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from mpmath import iv, libmp, mp
@@ -34,6 +33,7 @@ from .core import (
     as_moments,
     hankel_det,
     hankel_scan,
+    scale_to_integers,
 )
 from .errors import (
     DegreeViolation,
@@ -134,7 +134,7 @@ def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
         )
     # The FiniteRank(r) certificate of hankel_rank: r = 0 has none, otherwise
     # the recurrence read off P_r must annihilate the whole prefix.
-    if r == 0 or not recurrence_holds(seq, scan.p_scaled[r], r):
+    if r == 0 or not recurrence_holds(seq, scan.p_int[r], r):
         raise NotPSDFlat(
             r,
             d[r - 1] if r else Fraction(0),
@@ -148,12 +148,7 @@ def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
 # ---------------------------------------------------------------------------
 
 
-def _integer_coeffs(p: Polynomial) -> tuple[int, ...]:
-    scale = lcm(*(c.denominator for c in p.coeffs)) if p.coeffs else 1
-    return tuple(int(c * scale) for c in p.coeffs)
-
-
-def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
+def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
     """Sign of the polynomial with integer coeffs at rational x.
 
     Evaluates num-scaled Horner entirely over the integers:
@@ -168,16 +163,16 @@ def _sign_at(coeffs: tuple[int, ...], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
+def _sturm_chain(p: Polynomial) -> list[list[int]]:
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
         _, rem = chain[-2].divmod(chain[-1])
         chain.append(-rem)
     chain.pop()
-    return [_integer_coeffs(q) for q in chain]
+    return [scale_to_integers(q.coeffs)[0] for q in chain]
 
 
-def _sign_changes(chain: list[tuple[int, ...]], x: Fraction) -> int:
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
     signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -254,7 +249,7 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
 
 
 def _refine_root(
-    coeffs: tuple[int, ...],
+    coeffs: Sequence[int],
     point: Callable[[int, int], Fraction],
     newton: Callable,
     i: int,

@@ -15,7 +15,6 @@ prefix consistency, so the certificate records how far it looked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,6 +29,7 @@ from .core import (
     echelonize,
     hankel_det,
     hankel_scan,
+    scale_to_integers,
 )
 from .errors import DegreeViolation, IndexOutOfRange, SingularLeadingMinor
 from .polynomials import Polynomial, poly_P, poly_Q
@@ -101,7 +101,7 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
     if r_star == 0 or 2 * r_star - 1 > seq.max_index:
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
     scan = hankel_scan(seq.prefix(2 * r_star), polys=True)
-    if not recurrence_holds(seq, scan.p_scaled[r_star], r_star):
+    if not recurrence_holds(seq, scan.p_int[r_star], r_star):
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
     p = scan.p_coeffs(r_star)
     lead = p[r_star]  # = D_{r_star - 1}
@@ -112,12 +112,11 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
 def recurrence_holds(seq: MomentSequence, p: Sequence[int], r: int) -> bool:
     """Whether sum_{k<=r} p_k s_{k+m} = 0 for every in-prefix m >= 0.
 
-    p holds integer coefficients of P_r, lowest first, with absent high ones
-    zero (the scan's lambda^r-scaled P_r); the sequence is scaled to integers
+    p holds integer coefficients of a nonzero multiple of P_r, lowest first,
+    with absent high ones zero (the scan's p_int); the sequence is scaled to integers
     by the lcm of its denominators, so the check is exact integer arithmetic.
     """
-    scale = math.lcm(*(t.denominator for t in seq))
-    s = [t.numerator * (scale // t.denominator) for t in seq]
+    s, _ = scale_to_integers(seq.terms)
     return all(
         sum(c * x for c, x in zip(p, s[m : m + r + 1])) == 0 for m in range(len(s) - r)
     )
@@ -217,7 +216,7 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
         value == 0 for value in profile.d_values[r:]
     )
 
-    p = hankel_scan(seq.prefix(2 * r), polys=True).p_scaled[r]
+    p = hankel_scan(seq.prefix(2 * r), polys=True).p_int[r]
     annihilates = recurrence_holds(seq, p, r)
 
     if r >= 1 and hankel_det(seq, r - 1) != 0:

@@ -39,6 +39,12 @@ class TestDet:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_prints_a_determinant_past_the_digit_limit(self, tmp_path, capsys):
+        # D_1 = 1*0 - (10^4000)^2 has 8001 digits; the input's 4001 parse fine.
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", "1" + "0" * 4000, "0"]})
+        payload = run_ok(capsys, ["det", path])
+        assert payload["D"] == ["1", "-1" + "0" * 8000]
+
     def test_empty_sequence_is_precondition_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"sequence": []})
         code, out, err = run(capsys, ["det", path])

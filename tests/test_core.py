@@ -22,6 +22,7 @@ from hankelkit import (
     shifted_det,
 )
 from hankelkit.core import bottom_row_minors, echelonize, fraction_free_det, solve_unique
+from hankelkit.scalars import format_rational
 
 from oracles import (
     cofactor_det,
@@ -30,6 +31,17 @@ from oracles import (
     oracle_shifted_det,
     random_sequence,
 )
+
+
+def from_digits(text: str) -> int:
+    """int(text) in 1000-digit chunks, below the int-string limit; no leading zeros allowed."""
+    digits = text.removeprefix("-")
+    assert digits == "0" or not digits.startswith("0"), text[:20]
+    value = 0
+    for i in range(0, len(digits), 1000):
+        value = value * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+    return -value if text.startswith("-") else value
+
 
 fractions_st = st.fractions(min_value=-10, max_value=10, max_denominator=10)
 
@@ -54,6 +66,18 @@ class TestMomentSequence:
         for text in ("1e4300", "1e-4300", "1e200000", "1e2000000", "0e999999", "12.5e4299"):
             with pytest.raises(ParseError):
                 parse_rational(text)
+
+    def test_format_rational_prints_past_the_digit_limit(self):
+        # Parsing caps input at 4300 digits; results may be longer.
+        assert format_rational(F(10**5000, 3)) == "1" + "0" * 5000 + "/3"
+        assert format_rational(F(-(10**9000) - 7)) == "-1" + "0" * 8999 + "7"
+        assert format_rational(F(7, 10**4400 - 1)) == "7/" + "9" * 4400
+        assert format_rational(F(-3, 2)) == "-3/2"
+        rng = random.Random(4300)
+        for _ in range(20):
+            value = F(rng.getrandbits(60000) - 2**59999, rng.getrandbits(30000) + 1)
+            num, _, den = format_rational(value).partition("/")
+            assert (from_digits(num), from_digits(den or "1")) == (value.numerator, value.denominator)
 
     def test_json_roundtrip(self):
         seq = MomentSequence.from_values(["1", "-3/7", "0"])

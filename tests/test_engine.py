@@ -7,6 +7,8 @@ where the gap machinery does real work: sparse entries that open zero runs,
 s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.
 """
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -64,6 +66,19 @@ def mid_gap(draw):
     head = draw(st.lists(small, min_size=1, max_size=6))
     zeros = draw(st.integers(0, 9))
     return head + [F(0)] * zeros
+
+
+@st.composite
+def long_late_denominators(draw):
+    """Short entries, then one to three late terms over 2^a 3^b with a, b in
+    100..300, the shape of exact solutions of solve_inverse: the lcm of the
+    prefix denominators is long although the early D_n and P_n are short."""
+    head = draw(st.lists(small, min_size=2, max_size=12))
+    tail = draw(st.lists(
+        st.tuples(st.integers(-(2**20), 2**20), st.integers(100, 300), st.integers(100, 300)),
+        min_size=1, max_size=3,
+    ))
+    return head + [F(num, 2**a * 3**b) for num, a, b in tail]
 
 
 def bareiss_p(s, n):
@@ -134,11 +149,34 @@ class TestScanMatchesElimination:
     def test_prefix_ends_inside_a_zero_run(self, s):
         check_against_elimination(s)
 
+    @settings(max_examples=100, deadline=None)
+    @given(long_late_denominators())
+    def test_late_terms_with_long_denominators(self, s):
+        check_against_elimination(s)
+
     @pytest.mark.parametrize("length", range(1, 13))
     def test_odd_and_even_lengths_of_one_planted_gap(self, length):
         # D_0 = 1, then a zero run of length 3 closed by s_5.
         s = [F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)][:length]
         check_against_elimination(s)
+
+    def test_integers_do_not_grow_with_powers_of_the_prefix_scale(self):
+        # lambda = 2520 * 2^300 * 3^200 comes mostly from the last two terms.  As
+        # determinants of lambda*s, P_n's integers would carry lambda^n; held over
+        # their own denominator q_n, they need no more than P_n's denominators and
+        # lambda for the moments m_n = L(x^j P_n): q_n divides lcm(P_n) * lambda.
+        rng = random.Random(3)
+        s = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(24)]
+        s += [F(1, 2**300), F(-5, 3**200)]
+        lam = math.lcm(*(x.denominator for x in s))
+        scan = hankel_scan(s, polys=True)
+        assert all(scan.d_values)  # no zero runs: every P_n has full degree
+        for n in range(1, 14):
+            coeffs = scan.p_coeffs(n)
+            assert coeffs == trimmed(bareiss_p(s, n)), n
+            need = math.lcm(*(c.denominator for c in coeffs)) * lam
+            assert need % scan.p_factor[n].denominator == 0, n
+        assert max(abs(c).bit_length() for c in scan.p_int[13]) < 3 * lam.bit_length()
 
     def test_zero_sequence(self):
         s = [F(0)] * 9
