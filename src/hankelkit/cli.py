@@ -45,6 +45,9 @@ from .rank import hankel_rank
 from .scalars import MIN_PRECISION_BITS
 
 MEASURE_TOLERANCE = "1e-20"
+# Recovering a rank-12 measure takes seconds at 2^16 bits, and the cost grows
+# faster than the precision; a larger request would look like a hang.
+MAX_PRECISION_BITS = 65536
 
 
 class _UsageError(Exception):
@@ -58,11 +61,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+PRECISION_HELP = (
+    f"working precision in bits, {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} (default: 256)"
+)
+
+
 def _precision(text: str) -> int:
-    value = int(text)
-    if value < MIN_PRECISION_BITS:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid precision {text!r}") from None
+    if not MIN_PRECISION_BITS <= value <= MAX_PRECISION_BITS:
         raise argparse.ArgumentTypeError(
-            f"precision must be at least {MIN_PRECISION_BITS} bits"
+            f"precision must be {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS} bits"
         )
     return value
 
@@ -107,11 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve = add("solve", "Frobenius solvability of prescribed determinants")
     solve.add_argument("--construct", action="store_true", help="also build a solution")
     solve.add_argument("--policy", type=str, default=None, help="free entries: zeros | seed:<u64>")
-    solve.add_argument("--precision-bits", type=_precision, default=256)
+    solve.add_argument("--precision-bits", type=_precision, default=256, help=PRECISION_HELP)
     solve.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
 
     measure = add("measure", "recover the representing discrete measure")
-    measure.add_argument("--precision-bits", type=_precision, default=256)
+    measure.add_argument("--precision-bits", type=_precision, default=256, help=PRECISION_HELP)
     measure.add_argument("--tol", type=_tolerance, default=MEASURE_TOLERANCE)
 
     return parser

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from .printing import format_value
+
 
 class HankelError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -27,7 +29,7 @@ class HankelError(Exception):
             doc[key] = (
                 value
                 if isinstance(value, (int, bool, dict, list, type(None)))
-                else str(value)
+                else format_value(value)
             )
         return doc
 
@@ -127,7 +129,7 @@ class NotSolvable(HankelError):
     def __init__(self, report):
         k, gap, value = report.violation
         super().__init__(
-            f"sign condition {k} fails (gap {gap}, value {value})",
+            f"sign condition {k} fails (gap {gap}, value {format_value(value)})",
             k=k,
             gap=gap,
             value=value,
@@ -144,7 +146,8 @@ class PrecisionExhausted(HankelError):
 
     def __init__(self, precision_bits: int, residual, tol):
         super().__init__(
-            f"residual {residual} exceeds tolerance {tol} at {precision_bits} bits",
+            f"residual {format_value(residual)} exceeds tolerance {format_value(tol)}"
+            f" at {precision_bits} bits",
             precision_bits=precision_bits,
             residual=residual,
             tol=tol,
@@ -158,7 +161,7 @@ class NotPSDFlat(HankelError):
     kind = "not_psd_flat"
 
     def __init__(self, n: int, value, reason: str = "offending determinant"):
-        super().__init__(f"D_{n} = {value}: {reason}", n=n, value=value)
+        super().__init__(f"D_{n} = {format_value(value)}: {reason}", n=n, value=value)
         self.n = n
         self.value = value
 
@@ -180,7 +183,9 @@ class WeightMismatch(HankelError):
     kind = "weight_mismatch"
 
     def __init__(self, index: int, delta):
-        super().__init__(f"weight formulas disagree at atom {index} by {delta}", index=index, delta=delta)
+        super().__init__(
+            f"weight formulas disagree at atom {index} by {format_value(delta)}", index=index, delta=delta
+        )
         self.index = index
 
 
@@ -190,7 +195,9 @@ class NonPositiveWeight(HankelError):
     kind = "non_positive_weight"
 
     def __init__(self, index: int, value):
-        super().__init__(f"weight at atom {index} is {value}, expected > 0", index=index, value=value)
+        super().__init__(
+            f"weight at atom {index} is {format_value(value)}, expected > 0", index=index, value=value
+        )
         self.index = index
 
 

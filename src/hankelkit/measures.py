@@ -8,21 +8,22 @@ Q_r(lambda) / P_r'(lambda), equivalently the reciprocal of the
 Christoffel-Darboux sum  sum_{k<r} P_k(lambda)^2 / (D_k D_{k-1}).
 
 Roots are isolated with exact Sturm chains over the rationals, and each
-isolated (simple) root is refined by the sign of P_r alone: a floating
-Newton guess proposes a much narrower cell and exact integer signs at its two
-ends must confirm it (Abbott's quadratic interval refinement), otherwise the
-cell is halved.  Both stages cut on one dyadic grid, so the enclosures are
-guaranteed disjoint.  Weights are computed by both formulas at high precision
-and must agree, and the recovered measure's moments are re-checked against
-the input in outward-rounded interval arithmetic.  Nothing in this module
-trusts an unverified numeric step.
+isolated (simple) root is refined by the sign of P_r alone: a Newton step from
+the cell's midpoint, computed in integers, proposes a much narrower cell and
+exact integer signs at its two ends must confirm it (Abbott's quadratic
+interval refinement), otherwise the cell is halved.  Both stages cut on one
+dyadic grid, so the enclosures are guaranteed disjoint; no floating point
+enters isolation.  Weights are computed by both formulas at high precision
+(each coefficient rounded once per measure) and must agree, and the recovered
+measure's moments are re-checked against the input in outward-rounded
+interval arithmetic.  Nothing in this module trusts an unverified numeric step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from mpmath import iv, libmp, mp
 
@@ -50,6 +51,7 @@ from .rank import recurrence_holds
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     RealScalar,
+    format_rational,
     parse_rational,
     real_scalar,
     to_mpf,
@@ -76,7 +78,7 @@ class Interval:
         return (self.lo + self.hi) / 2
 
     def to_json(self) -> list[str]:
-        return [str(self.lo), str(self.hi)]
+        return [format_rational(self.lo), format_rational(self.hi)]
 
 
 @dataclass(frozen=True)
@@ -148,19 +150,29 @@ def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
 # ---------------------------------------------------------------------------
 
 
-def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign of the polynomial with integer coeffs at rational x.
-
-    Evaluates num-scaled Horner entirely over the integers:
-    sign(sum c_i num^i den^{d-i}).
-    """
-    num, den = x.numerator, x.denominator
+def _horner(coeffs: Sequence[int], num: int, den: int) -> int:
+    """The polynomial with integer coeffs (lowest first, degree d) at num/den,
+    times den^d: sum c_i num^i den^(d-i), entirely over the integers."""
     acc = 0
     den_power = 1
-    for c in coeffs[::-1]:
+    for c in reversed(coeffs):
         acc = acc * num + c * den_power
         den_power *= den
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+class _Unreduced(NamedTuple):
+    """The rational numerator / denominator (denominator > 0), not reduced:
+    grid points skip Fraction's gcd, and only their signs are needed."""
+
+    numerator: int
+    denominator: int
+
+
+def _sign_at(coeffs: Sequence[int], x: Fraction | _Unreduced) -> int:
+    """Sign of the polynomial with integer coeffs at rational x (see _horner)."""
+    value = _horner(coeffs, x.numerator, x.denominator)
+    return (value > 0) - (value < 0)
 
 
 def _sturm_chain(p: Polynomial) -> list[list[int]]:
@@ -172,7 +184,7 @@ def _sturm_chain(p: Polynomial) -> list[list[int]]:
     return [scale_to_integers(q.coeffs)[0] for q in chain]
 
 
-def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+def _sign_changes(chain: list[list[int]], x: Fraction | _Unreduced) -> int:
     signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -184,11 +196,6 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     lead = p.leading
     total = sum(abs(c / lead) for c in p.coeffs[:-1])
     return max(Fraction(1), total)
-
-
-# Guard bits of the floating Newton guess beyond the target depth.  A guess
-# only proposes a cell and exact signs decide, so this trades speed, not truth.
-_NEWTON_GUARD_BITS = 64
 
 
 def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS) -> list[Interval]:
@@ -217,41 +224,53 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
         raise RootCountMismatch(p.degree, v_lo - v_hi)
     width = hi - lo
 
-    def point(i: int, depth: int) -> Fraction:
+    def point(i: int, depth: int) -> _Unreduced:
         """Grid point lo + width * i / 2^depth; cell i at depth is (point i, point i+1]."""
-        return lo + width * Fraction(i, 1 << depth)
+        return _Unreduced(hi.numerator * ((i << 1) - (1 << depth)), hi.denominator << depth)
 
     ratio = width / target  # depth_k: the least k with 2^k >= ratio
     depth_k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    coeffs = chain[0]
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
     cells = []
-    with mp.workprec(depth_k + _NEWTON_GUARD_BITS):
-        poly = [mp.mpf(c) for c in reversed(chain[0])]
-        lo_mp, width_mp = (mp.mpf(v.numerator) / v.denominator for v in (lo, width))
-
-        def newton(z):
-            """One Newton step for the root of p, in grid coordinates z = (x - lo) / width."""
-            value, slope = mp.polyval(poly, lo_mp + width_mp * z, derivative=True)
-            return z - value / (width_mp * slope) if slope else z
-
-        pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
-        while pending:
-            i, depth, v_left, v_right = pending.pop()
-            count = v_left - v_right
-            if count == 1:
-                cells.append(_refine_root(chain[0], point, newton, i, depth, depth_k))
-            elif count > 1:
-                v_mid = _sign_changes(chain, point(2 * i + 1, depth + 1))
-                pending.append((2 * i, depth + 1, v_left, v_mid))
-                pending.append((2 * i + 1, depth + 1, v_mid, v_right))
-    intervals = [Interval(point(i, depth), point(i + 1, depth)) for i, depth in cells]
+    pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
+    while pending:
+        i, depth, v_left, v_right = pending.pop()
+        count = v_left - v_right
+        if count == 1:
+            cells.append(_refine_root(coeffs, slope, point, width, i, depth, depth_k))
+        elif count > 1:
+            v_mid = _sign_changes(chain, point(2 * i + 1, depth + 1))
+            pending.append((2 * i, depth + 1, v_left, v_mid))
+            pending.append((2 * i + 1, depth + 1, v_mid, v_right))
+    intervals = [Interval(Fraction(*point(i, d)), Fraction(*point(i + 1, d))) for i, d in cells]
     intervals.sort(key=lambda interval: interval.lo)
     return intervals
 
 
+def _newton_guess(
+    coeffs: Sequence[int], slope: Sequence[int], x: _Unreduced, width: Fraction, bits: int
+) -> tuple[int, int]:
+    """One exact Newton step x' = x - p(x) / p'(x) from x = num/den.
+
+    Returns p(x) den^d, whose sign is p's at x, and
+    floor((x' - x) 2^bits / width), the offset of x' from x in cells of width
+    width / 2^bits (0 where p'(x) = 0).  coeffs are p's integer coefficients
+    and slope p''s, lowest first; only integers are used.
+    """
+    num, den = x.numerator, x.denominator
+    value = _horner(coeffs, num, den)
+    derivative = _horner(slope, num, den)  # p'(x) den^(d-1)
+    if derivative == 0:
+        return value, 0
+    return value, ((-value * width.denominator) << bits) // (derivative * den * width.numerator)
+
+
 def _refine_root(
     coeffs: Sequence[int],
-    point: Callable[[int, int], Fraction],
-    newton: Callable,
+    slope: Sequence[int],
+    point: Callable[[int, int], _Unreduced],
+    width: Fraction,
     i: int,
     depth: int,
     depth_k: int,
@@ -261,11 +280,12 @@ def _refine_root(
 
     Quadratic interval refinement (Abbott, ISSAC 2006) on the sign of p
     alone: the root is simple and alone in its cell, so p changes sign across
-    it and keeps the sign of the right end s on (root, hi].  A Newton guess
-    names one of the 2^step subcells; it is accepted only when the exact signs
-    at the subcell's ends bracket the root, and step doubles.  Otherwise the
-    cell is halved by the sign at its midpoint and step halves.  A zero sign
-    puts the root on that grid point, whose target-depth cell ends there.
+    it and keeps the sign of the right end s on (root, hi].  An exact Newton
+    step from the cell's midpoint names one of the 2^step subcells; it is
+    accepted only when the exact signs at the subcell's ends bracket the root,
+    and step doubles.  Otherwise the cell is halved by the sign at its
+    midpoint and step halves.  A zero sign puts the root on that grid point,
+    whose target-depth cell ends there.
     """
     if depth >= depth_k:
         return i, depth
@@ -276,29 +296,33 @@ def _refine_root(
     s = _sign_at(coeffs, point(i + 1, depth))
     if s == 0:
         return ending_at(i + 1, depth)
-    z = mp.ldexp(2 * i + 1, -(depth + 1))
     step = 2
     while depth < depth_k:
         step = min(step, depth_k - depth)
-        z = newton(z)
-        last = (1 << step) - 1
-        j = min(max(int(mp.floor(mp.ldexp(z, depth + step))) - (i << step), 0), last)
-        sub, sub_depth = (i << step) + j, depth + step
-        s_left = -s if j == 0 else _sign_at(coeffs, point(sub, sub_depth))
-        if s_left == 0:
-            return ending_at(sub, sub_depth)
-        if s_left == -s:
-            s_right = s if j == last else _sign_at(coeffs, point(sub + 1, sub_depth))
-            if s_right == 0:
-                return ending_at(sub + 1, sub_depth)
-            if s_right == s:
-                i, depth, step = sub, sub_depth, 2 * step
-                continue
-        s_mid = _sign_at(coeffs, point(2 * i + 1, depth + 1))
+        half = 1 << (step - 1)
+        value, offset = _newton_guess(coeffs, slope, point(2 * i + 1, depth + 1), width, depth + step)
+        s_mid = (value > 0) - (value < 0)
         if s_mid == 0:
             return ending_at(2 * i + 1, depth + 1)
+
+        def sign(k: int) -> int:
+            """Sign of p at subcell boundary k; the cell's ends and midpoint are known."""
+            if k % half == 0:
+                return (-s, s_mid, s)[k // half]
+            return _sign_at(coeffs, point((i << step) + k, depth + step))
+
+        j = min(max(half + offset, 0), 2 * half - 1)
+        s_left = sign(j)
+        if s_left == 0:
+            return ending_at((i << step) + j, depth + step)
+        if s_left == -s:
+            s_right = sign(j + 1)
+            if s_right == 0:
+                return ending_at((i << step) + j + 1, depth + step)
+            if s_right == s:
+                i, depth, step = (i << step) + j, depth + step, 2 * step
+                continue
         i, depth, step = 2 * i + (s_mid != s), depth + 1, max(1, step // 2)
-        z = mp.ldexp(2 * i + 1, -(depth + 1))
     return i, depth
 
 
@@ -327,16 +351,23 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
 
     atoms = []
     with mp.workprec(precision_bits):
+        # Each value rounded once per measure, as Polynomial.eval_mpf and to_mpf
+        # round it; mp.polyval's Horner order is eval_mpf's, so weights are unchanged.
+        def rounded(values: Sequence[Fraction]) -> list:
+            return [mp.mpf(v.numerator) / v.denominator for v in values]
+
+        q_mpf = rounded(q_r.coeffs[::-1])
+        p_prime_mpf = rounded(p_prime.coeffs[::-1])
+        family_mpf = [rounded(p.coeffs[::-1]) for p in family[:r]]
+        norms = rounded([d[k + 1] * d[k] for k in range(r)])
         threshold = mp.mpf(2) ** -(precision_bits // 2)
         for index, interval in enumerate(intervals):
             lam = to_mpf(interval.midpoint, precision_bits)
-            w_residue = q_r.eval_mpf(lam, precision_bits) / p_prime.eval_mpf(
-                lam, precision_bits
-            )
+            w_residue = mp.polyval(q_mpf, lam) / mp.polyval(p_prime_mpf, lam)
             cd_sum = mp.mpf(0)
-            for k in range(r):
-                value = family[k].eval_mpf(lam, precision_bits)
-                cd_sum += value * value / to_mpf(d[k + 1] * d[k], precision_bits)
+            for coeffs, norm in zip(family_mpf, norms):
+                value = mp.polyval(coeffs, lam)
+                cd_sum += value * value / norm
             w_cd = 1 / cd_sum
             delta = abs(w_residue - w_cd)
             if delta > threshold * max(mp.mpf(1), abs(w_residue)):

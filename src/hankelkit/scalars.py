@@ -17,6 +17,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import ParseError
+from .printing import format_rational  # noqa: F401 - formatting stays public here
 
 RationalLike = Union[Fraction, int, str]
 
@@ -69,22 +70,6 @@ def parse_rational(value: RationalLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r} (floats are not accepted; use strings)")
-
-
-def _decimal(n: int) -> str:
-    """str(n), split at a power of ten while n is over the int-string limit (left unchanged)."""
-    try:
-        return str(n)
-    except ValueError:
-        half = n.bit_length() * 3 // 20  # about half of n's decimal digits
-        high, low = divmod(abs(n), 10**half)
-        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
-
-
-def format_rational(value: Fraction) -> str:
-    """Serialize a rational, of any length, as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    text = _decimal(value.numerator)
-    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def int_kth_root(n: int, k: int) -> tuple[int, bool]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hankelkit.cli import main
+from hankelkit.cli import MAX_PRECISION_BITS, main
 
 
 def write_json(tmp_path, name, payload):
@@ -151,6 +151,15 @@ class TestSolve:
         assert error["kind"] == "not_solvable"
         assert error["report"]["violation"]["gap"] == 2
 
+    def test_unsolvable_past_the_digit_limit_keeps_its_kind(self, tmp_path, capsys):
+        big = "1" + "0" * 4000
+        path = write_json(tmp_path, "t.json", {"target": [big, "0", big]})
+        code, out, err = run(capsys, ["solve", path])
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["kind"] == "not_solvable"
+        assert error["value"] == "-1" + "0" * 8000
+
     def test_construct_exact(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["2", "1"]})
         payload = run_ok(capsys, ["solve", path, "--construct"])
@@ -271,6 +280,24 @@ class TestMeasure:
         assert payload["kind"] == "not_psd_flat"
         assert (payload["n"], payload["value"]) == (1, "1")
 
+    def test_not_psd_flat_past_the_digit_limit_keeps_its_kind(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", "1" + "0" * 4000, "0", "0", "1"]})
+        code, out, err = run(capsys, ["measure", path])
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert (error["kind"], error["n"]) == ("not_psd_flat", 1)
+        assert error["value"] == "-1" + "0" * 8000
+
+    def test_precision_cap(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]})
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", str(MAX_PRECISION_BITS + 1)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["kind"] == "UsageError"
+        # At the cap the enclosures' endpoints print past Python's 4300-digit limit.
+        payload = run_ok(capsys, ["measure", path, "--precision-bits", str(MAX_PRECISION_BITS)])
+        assert payload["precision_bits"] == MAX_PRECISION_BITS
+        assert max(len(end) for atom in payload["atoms"] for end in atom["enclosure"]) > 4300
+
     def test_malformed_tol_is_usage_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1"]})
         code, out, err = run(capsys, ["measure", path, "--tol", "abc"])
@@ -324,6 +351,15 @@ class TestUsageAndParsing:
         assert code == 2
         assert out == ""
         assert json.loads(err)["kind"] == "parse_error"
+
+    def test_precision_cap(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})
+        for bits in (str(MAX_PRECISION_BITS + 1), "1e3"):
+            code, out, err = run(capsys, ["solve", path, "--construct", "--precision-bits", bits])
+            assert (code, out) == (1, "")
+            error = json.loads(err)
+            assert error["kind"] == "UsageError"
+            assert "precision" in error["error"] and "_precision" not in error["error"]
 
     def test_precision_floor(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +167,22 @@ class TestRootIsolation:
         assert recover_measure(s, 256).r == 12
         assert 0 < evaluations[0] <= 24 * 12
 
+    def test_refinement_takes_few_newton_steps(self, monkeypatch):
+        # Same measure: Newton steps that land converge quadratically, so about
+        # log2(244) of them reach the target; a guess that keeps missing its
+        # cell falls back to one halving per step.
+        steps = [0]
+        newton_guess = measures._newton_guess
+
+        def counting_newton_guess(*args):
+            steps[0] += 1
+            return newton_guess(*args)
+
+        monkeypatch.setattr(measures, "_newton_guess", counting_newton_guess)
+        s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
+        assert recover_measure(s, 256).r == 12
+        assert 0 < steps[0] <= 16 * 12
+
     def test_json(self):
         payload = isolate_real_roots(Polynomial([-2, 1]), 64)[0].to_json()
         assert isinstance(payload, list) and len(payload) == 2
@@ -187,6 +204,29 @@ root_sets = st.builds(
     st.lists(close_pairs, max_size=1),
 )
 
+# Roots x - 2^-e and x + 2^-e, with or without x itself.
+plus_minus = st.builds(
+    lambda x, e, centre: [x - F(1, 2**e), x + F(1, 2**e)] + ([x] if centre else []),
+    rational_roots,
+    st.integers(1, 100),
+    st.booleans(),
+)
+# Irrational roots c +- sqrt(k) of (x - c)^2 - k, k not a square.
+quadratic_factors = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(2, 40).filter(lambda k: isqrt(k) ** 2 != k)),
+    min_size=1,
+    max_size=2,
+    unique=True,
+)
+irrational_root_sets = st.tuples(
+    st.builds(
+        lambda roots, near: sorted(set(roots + [x for group in near for x in group])),
+        st.lists(rational_roots, max_size=2),
+        st.lists(plus_minus, max_size=1),
+    ),
+    quadratic_factors,
+)
+
 
 class TestRefinementAgainstBisection:
     """Sturm isolation plus sign refinement returns the cells plain bisection does."""
@@ -203,6 +243,21 @@ class TestRefinementAgainstBisection:
         expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
         assert intervals == expected
         assert all(iv.lo < x <= iv.hi for x, iv in zip(roots, intervals))
+
+    @settings(max_examples=25, deadline=None)
+    @given(irrational_root_sets, st.sampled_from([64, 256]))
+    @example(([F(99, 70)], [(0, 2)]), 256)  # 99/70 is 1.4e-4 from sqrt(2)
+    @example(([F(2) - F(1, 2**90), F(2) + F(1, 2**90)], [(2, 3)]), 64)
+    @example(([F(1), F(1) + F(1, 2**80)], [(0, 3), (1, 5)]), 256)
+    def test_irrational_and_near_rational_roots(self, root_set, bits):
+        rationals, quadratics = root_set
+        p = linear_product(rationals)
+        for c, k in quadratics:  # roots c +- sqrt(k)
+            p = p * Polynomial([c * c - k, -2 * c, 1])
+        intervals = isolate_real_roots(p, bits)
+        expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
+        assert intervals == expected
+        assert len(intervals) == p.degree
 
 
 class TestRecoverMeasure:
@@ -282,6 +337,25 @@ class TestRecoverMeasure:
     def test_not_psd_rejected(self):
         with pytest.raises(NotPSDFlat):
             recover_measure([1, 0, -1, 0, 0, 0], 128)
+
+    def test_weights_match_per_atom_evaluation_bit_for_bit(self):
+        # Coefficients are rounded to mpf once per measure; every weight must
+        # still be the residue Q_r/P_r' that Polynomial.eval_mpf gives per atom.
+        rng = random.Random(5006)
+        for _ in range(12):
+            r = rng.randint(1, 8)
+            bits = rng.choice([64, 113, 256])
+            s = moments_of_atoms(random_atoms(rng, r), 2 * r + 1)
+            measure = recover_measure(s, bits)
+            p_prime, q_r = poly_P(s, r).derivative(), poly_Q(s, r)
+            assert measure.r == r
+            for atom in measure.atoms:
+                midpoint = atom.enclosure.midpoint
+                with mp.workprec(bits):
+                    lam = mp.mpf(midpoint.numerator) / midpoint.denominator
+                    weight = q_r.eval_mpf(lam, bits) / p_prime.eval_mpf(lam, bits)
+                assert atom.location.value == lam
+                assert atom.weight.value == weight
 
     def test_json_shape(self):
         payload = recover_measure([2, 1, 1, 1, 1, 1], 128).to_json()
