@@ -24,6 +24,17 @@ from hankelkit import (
 )
 
 
+def show_structure(label: str, s: list) -> None:
+    report = degree_profile(s)
+    print(f"\n{label}: full-degree n = {report.full_degree_indices}, "
+          f"zero blocks {report.zero_blocks}")
+    for k, gamma in report.gammas:
+        print(f"  P_(b-1) = gamma * P_a with gamma = {gamma} at block {k}")
+    for step in report.blocks:
+        print(f"  block {step.k}: a = {step.a}, beta = {step.beta}, consistent {step.consistent}")
+    assert report.anomalies == ()
+
+
 def main() -> None:
     # Fibonacci: rank 2, denominator 1 - x - x^2 (here in the monic x-form).
     fib = [1, 1, 2, 3, 5, 8, 13, 21, 34]
@@ -73,14 +84,12 @@ def main() -> None:
     assert d4 == hankel_det(s, 4)
 
     # Degree structure of the P_n family: full-degree indices, zero blocks,
-    # and the proportionality factors linking polynomials across a block.
-    sparse = [F(1), F(0), F(0), F(0), F(1), F(0), F(0), F(0)]
-    report = degree_profile(sparse)
-    print(f"\nsparse (1,0,0,0,1,0,0,0): full-degree n = {report.full_degree_indices}, "
-          f"zero blocks {report.zero_blocks}")
-    for k, gamma in report.gammas:
-        print(f"  P_(b-1) = gamma * P_a with gamma = {gamma} at block {k}")
-    assert report.anomalies == ()
+    # the proportionality factors linking polynomials across a block, and the
+    # block three-term recurrence p_(n_(k+1)) = a_k p_(n_k) - beta_k p_(n_(k-1))
+    # between the monic full-degree polynomials.
+    show_structure("sparse (1,0,0,0,1,0,0,0)", [F(1), F(0), F(0), F(0), F(1), F(0), F(0), F(0)])
+    # D_2 = D_3 = 0 here: after the gap, a_2 is cubic.
+    show_structure("(2,1,1,1,1,1,3,0,1,4,1,1)", [F(v) for v in (2, 1, 1, 1, 1, 1, 3, 0, 1, 4, 1, 1)])
 
     # Growth estimate: |s_k|^(1/k) over the tail bounds the largest root
     # magnitude of the denominator for genuinely finite-rank sequences.

@@ -15,13 +15,18 @@ blocks between them, the constant proportionality P_{n_{k+1}-1} = gamma_k
 P_{n_k} across gaps, and the block three-term recurrence
 p_{n_{k+1}} = a_k(x) p_{n_k} - beta_k p_{n_{k-1}} on the monic normalizations
 (with p at the index before n_0 taken to be 0, which leaves beta_0 free; it
-is reported as 1 by convention).
+is reported as 1 by convention).  All of it is read off the block steps of
+one :func:`core.hankel_scan`, which builds P_n by that recurrence; an anomaly
+means a full-degree P_n failed the independent check against the moments,
+L(x^j P_n) = 0 for j < n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import mul
 from typing import Sequence, Union
 
 from .core import (
@@ -29,6 +34,8 @@ from .core import (
     SequenceLike,
     as_moments,
     hankel_det,
+    hankel_scan,
+    scale_to_integers,
     shifted_det,
 )
 from .errors import (
@@ -37,7 +44,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroSequence,
 )
-from .polynomials import ZERO, Polynomial, p_family, poly_P
+from .polynomials import Polynomial, poly_P
 from .scalars import format_rational
 
 
@@ -239,92 +246,55 @@ class StructureReport:
 def degree_profile(s: SequenceLike) -> StructureReport:
     """Classify every computable P_n: full degree, zero, or gamma-multiple.
 
-    Verifies the whole structure exactly; anomalies (which the underlying
-    theory rules out) are reported rather than silently accepted, since any
-    entry there signals an implementation bug.
+    The whole report is read off one :func:`core.hankel_scan`: full-degree
+    indices and zero blocks from its P_n, gamma_k from the factors of P_{b-1}
+    and P_a (the same integers), and a_k, beta_k from its block steps.  Each
+    full-degree P_n is then checked against the moments alone, by the defining
+    orthogonality L(x^j P_n) = 0 for j < n.  A failure, which the theory rules
+    out and so signals an implementation bug, is reported as an anomaly and
+    marks the block that built P_n inconsistent.
     """
     seq = as_moments(s)
     if len(seq) == 0 or seq.is_zero():
         raise ZeroSequence()
     n_max = len(seq) // 2
-    polys = p_family(seq, n_max)
-    full = tuple(n for n in range(n_max + 1) if polys[n].degree == n)
+    scan = hankel_scan(seq.prefix(2 * n_max), polys=True)
+    p_int, p_factor = scan.p_int, scan.p_factor
+    full = tuple(n for n in range(n_max + 1) if len(p_int[n]) == n + 1)
+    runs = (list(g) for is_zero, g in groupby(range(n_max + 1), key=lambda n: not p_int[n]) if is_zero)
+    zero_blocks = [(run[0], run[-1]) for run in runs]
+    gammas = [
+        (k, p_factor[b - 1] / p_factor[a])
+        for k, (a, b) in enumerate(zip(full, full[1:]))
+        if b - a >= 2
+    ]
+
+    ints, _ = scale_to_integers(seq.terms[: 2 * n_max])
     anomalies: list[str] = []
-
-    zero_blocks: list[tuple[int, int]] = []
-    start = None
-    for n in range(n_max + 1):
-        if polys[n].is_zero():
-            start = n if start is None else start
-        elif start is not None:
-            zero_blocks.append((start, n - 1))
-            start = None
-    if start is not None:
-        zero_blocks.append((start, n_max))
-
-    gammas: list[tuple[int, Fraction]] = []
-    for k in range(len(full) - 1):
-        a, b = full[k], full[k + 1]
-        if b - a < 2:
-            continue
-        for n in range(a + 1, b - 1):
-            if not polys[n].is_zero():
-                anomalies.append(f"P_{n} expected zero inside gap ({a},{b})")
-        candidate = polys[b - 1]
-        if candidate.is_zero() or candidate.degree != polys[a].degree:
-            anomalies.append(f"P_{b - 1} is not a constant multiple of P_{a}")
-            continue
-        gamma = candidate.leading / polys[a].leading
-        if candidate - gamma * polys[a] != ZERO:
-            anomalies.append(f"P_{b - 1} is not proportional to P_{a}")
-            continue
-        gammas.append((k, gamma))
-
     blocks: list[BlockStep] = []
-    monic = {n: polys[n].monic() for n in full}
-    for k in range(len(full) - 1):
-        p_next = monic[full[k + 1]]
-        p_cur = monic[full[k]]
-        quotient, rem = p_next.divmod(p_cur)
+    for k, (r, r_next, c, c_b) in enumerate(scan.steps):
+        # On monic forms, p_int[r_next] ~ sum c_i x^i lead_r p_r + c_b lead_r' p_r'.
+        top = c[-1]
+        a = Polynomial(Fraction(ci, top) for ci in c)
         if k == 0:
-            consistent = rem.is_zero()
             beta = Fraction(1)  # multiplies the (zero) polynomial below n_0; free
         else:
-            p_before = monic[full[k - 1]]
-            if rem.is_zero() or rem.degree != p_before.degree:
-                consistent = False
-                beta = Fraction(0)
-            else:
-                beta = -rem.leading
-                consistent = (rem + beta * p_before).is_zero()
+            beta = Fraction(-c_b * p_int[scan.steps[k - 1].r][-1], top * p_int[r][-1])
+        p = p_int[r_next]
+        consistent = len(p) == r_next + 1 and not any(
+            sum(map(mul, p, ints[j : j + r_next + 1])) for j in range(r_next)
+        )
         if not consistent:
-            anomalies.append(f"block recurrence at k={k} has no valid beta")
-        blocks.append(BlockStep(k, quotient, beta, consistent))
+            anomalies.append(f"P_{r_next} from block k={k} fails L(x^j P_{r_next}) = 0, j < {r_next}")
+        blocks.append(BlockStep(k, a, beta, consistent))
 
-    n_last = full[-1]
-    tail = range(n_last + 1, n_max + 1)
-    tail_zero = bool(tail) and all(polys[n].is_zero() for n in tail)
-    if tail and not tail_zero:
-        # An unfinished gap may legitimately end the horizon with one
-        # gamma-multiple at the last computable index; anything else is anomalous.
-        for n in tail:
-            p = polys[n]
-            if p.is_zero():
-                continue
-            proportional = (
-                n == n_max
-                and p.degree == polys[n_last].degree
-                and (p - (p.leading / polys[n_last].leading) * polys[n_last]).is_zero()
-            )
-            if not proportional:
-                anomalies.append(f"P_{n} has unexpected shape beyond the last full index")
-
+    tail = range(full[-1] + 1, n_max + 1)
     return StructureReport(
         full_degree_indices=full,
         gammas=tuple(gammas),
         blocks=tuple(blocks),
         zero_blocks=tuple(zero_blocks),
-        tail_zero=tail_zero,
+        tail_zero=bool(tail) and all(not p_int[n] for n in tail),
         horizon=seq.horizon,
         anomalies=tuple(anomalies),
     )

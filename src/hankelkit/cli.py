@@ -16,7 +16,8 @@ Inputs are JSON files ({"sequence": [...]}, {"target": [...]}, or
 string, exact rationals as "p/q" and reals as decimals.  Results go to
 standard output only; errors are machine-readable JSON on standard error.
 Exit codes: 0 success, 1 usage, 2 parse, 3 precondition violation,
-4 precision exhausted.
+4 precision exhausted.  Input lists and --len / --max-n are capped at
+MAX_TERMS.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ MEASURE_TOLERANCE = "1e-20"
 # Recovering a rank-12 measure takes seconds at 2^16 bits, and the cost grows
 # faster than the precision; a larger request would look like a hang.
 MAX_PRECISION_BITS = 65536
+# The most entries an input list (sequence, target, Jacobi a or b) may have, and the
+# largest --len or --max-n.  At 200 random one-digit rationals jacobi --invert takes
+# 31 s on a 2-vCPU host, any other command under 4 s, except that solve --construct
+# on exact targets passes a minute from about 50 entries (its certificate).
+MAX_TERMS = 200
 
 
 class _UsageError(Exception):
@@ -131,11 +137,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read input file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from None
+    for key, value in doc.items() if isinstance(doc, dict) else ():
+        if isinstance(value, list) and len(value) > MAX_TERMS:
+            raise ParseError(f'"{key}" has {len(value)} entries; at most {MAX_TERMS} are allowed')
+    return doc
+
+
+def _capped(value: int, flag: str) -> int:
+    if value > MAX_TERMS:
+        raise _UsageError(f"{flag} must be <= {MAX_TERMS}")
+    return value
 
 
 def _sequence(path: str) -> MomentSequence:
@@ -148,7 +164,7 @@ def _dispatch(args) -> dict:
 
     if args.command == "poly":
         seq = _sequence(args.input)
-        max_n = len(seq) // 2 if args.max_n is None else args.max_n
+        max_n = len(seq) // 2 if args.max_n is None else _capped(args.max_n, "--max-n")
         if max_n < 0:
             raise _UsageError("--max-n must be >= 0")
         family = p_family(seq, max_n)
@@ -163,14 +179,14 @@ def _dispatch(args) -> dict:
             coeffs = JacobiCoeffs.from_json(payload)
             return moments_from_jacobi(coeffs).to_json()
         seq = MomentSequence.from_json(payload)
-        n_terms = len(seq) // 2 if args.max_n is None else args.max_n
+        n_terms = len(seq) // 2 if args.max_n is None else _capped(args.max_n, "--max-n")
         if n_terms < 1:
             raise _UsageError("--max-n must be >= 1 (or provide at least 2 terms)")
         return jacobi_from_moments(seq, n_terms).to_json()
 
     if args.command == "approx":
         seq = _sequence(args.input)
-        length = len(seq) if args.length is None else args.length
+        length = len(seq) if args.length is None else _capped(args.length, "--len")
         if length < 1:
             raise _UsageError("--len must be >= 1")
         return approx_sequence(seq, args.r, length - 1).to_json()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import IndexOutOfRange, ParseError
 from .scalars import format_rational, parse_rational
@@ -226,18 +226,31 @@ def bottom_row_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+class ScanStep(NamedTuple):
+    """One block step r -> r_next between full-degree indices: the integers of
+    P_{r_next} are proportional to sum_i c[i] x^i p_int[r] + c_b p_int[r'],
+    r' the full-degree index before r (c_b = 0 when r = 0)."""
+
+    r: int
+    r_next: int
+    c: tuple[int, ...]
+    c_b: int
+
+
 @dataclass(frozen=True)
 class HankelScan:
     """Every D_n (2n <= M), D'_{n+1} (2n+1 <= M) and optionally P_n (2n-1 <= M).
 
     P_n is kept as the rational p_factor[n] times the integer coefficients
-    p_int[n]; :meth:`p_coeffs` multiplies them out.
+    p_int[n]; :meth:`p_coeffs` multiplies them out.  steps holds the block
+    recurrence of every full-degree P_{r_next} (2 r_next - 1 <= M).
     """
 
     d_values: tuple[Fraction, ...]
     d_prime_values: tuple[Fraction, ...]
     p_int: Optional[tuple[tuple[int, ...], ...]]
     p_factor: Optional[tuple[Fraction, ...]]
+    steps: tuple[ScanStep, ...]
 
     def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
@@ -261,7 +274,8 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     P_{r+d+1} = A(x) P_r + beta P_{r-1}, deg A = d+1: its leading coefficient
     fixes a_{d+1} = D_{r+d}/D_{r-1}, orthogonality to x^{r-1} fixes beta and
     orthogonality to x^r .. x^{r+d} is a (d+1)-row triangular system in the
-    rest of A.  The same combination updates the modified moments.
+    rest of A.  The same combination updates the modified moments.  The
+    reduced integer coefficients of each step are kept as a :class:`ScanStep`.
 
     Each full-degree P_k and its m_k are integer vectors over one denominator
     q_k, from M_0 = lambda s and P'_0 = q_0 = lambda, the lcm of the prefix
@@ -286,6 +300,7 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     m_prev, f_prev = [0] * (m_top + 2), Fraction(1)  # P_{-1} = 0
     p_cur: list[int] = [q_cur] if polys else []  # P_0 = 1: lambda over lambda; no P without polys
     p_prev: list[int] = []
+    steps: list[ScanStep] = []
     while 2 * r <= m_top:
         j = r
         while j <= m_top - r and m_cur[j] == 0:
@@ -323,6 +338,7 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
             c[gap - t] = -acc
         h = math.gcd(k, c_b, *c)
         c, c_b, k = [x // h for x in c], c_b // h, k // h
+        steps.append(ScanStep(r, r_next, tuple(c), c_b))
 
         lo, hi = r_next, m_top - r_next
         acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
@@ -347,6 +363,7 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
         d_prime_values=tuple(dp_out),
         p_int=tuple(p_out) if polys else None,
         p_factor=tuple(f_out) if polys else None,
+        steps=tuple(steps),
     )
 
 

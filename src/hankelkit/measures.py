@@ -32,7 +32,6 @@ from .core import (
     MomentSequence,
     SequenceLike,
     as_moments,
-    hankel_det,
     hankel_scan,
     scale_to_integers,
 )
@@ -46,7 +45,7 @@ from .errors import (
     WeightMismatch,
     ZeroSequence,
 )
-from .polynomials import ZERO, Polynomial, poly_P, second_kind
+from .polynomials import ZERO, Polynomial, second_kind
 from .rank import recurrence_holds
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -455,13 +454,11 @@ def cd_identity_residual(s: SequenceLike, r: int) -> Polynomial:
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    d = [Fraction(1)]  # D_{-1}
-    for n in range(r):
-        value = hankel_det(seq, n)
-        if value == 0:
-            raise NotQuasiDefinite(n)
-        d.append(value)
-    polys = [poly_P(seq, k) for k in range(r + 1)]
+    scan = hankel_scan(seq.prefix(2 * r), polys=True)
+    if 0 in scan.d_values:
+        raise NotQuasiDefinite(scan.d_values.index(0))
+    d = (Fraction(1),) + scan.d_values  # D_{-1}, D_0..D_{r-1}
+    polys = [Polynomial(scan.p_coeffs(k)) for k in range(r + 1)]
     combo = polys[r].derivative() * polys[r - 1] - polys[r] * polys[r - 1].derivative()
     cd_sum = ZERO
     for k in range(r):

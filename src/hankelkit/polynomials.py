@@ -27,9 +27,7 @@ from .core import (
     MomentSequence,
     SequenceLike,
     as_moments,
-    hankel_det,
     hankel_scan,
-    shifted_det,
 )
 from .errors import (
     IndexOutOfRange,
@@ -302,12 +300,13 @@ def kronecker_residual(s: SequenceLike, r: int) -> Fraction:
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    combo = poly_P(seq, r - 1) * poly_Q(seq, r) - poly_P(seq, r) * poly_Q(seq, r - 1)
+    scan = hankel_scan(seq.prefix(2 * r), polys=True)
+    p_prev, p_cur = (Polynomial(scan.p_coeffs(n)) for n in (r - 1, r))
+    combo = p_prev * second_kind(seq, p_cur) - p_cur * second_kind(seq, p_prev)
     if combo.degree not in (None, 0):
         raise NonConstantResidual(combo.degree)
-    constant = combo[0]
-    d = hankel_det(seq, r - 1)
-    return constant - d * d
+    d = scan.d_values[r - 1]
+    return combo[0] - d * d
 
 
 def frobenius_recurrence_residual(s: SequenceLike, n: int) -> Polynomial:
@@ -320,13 +319,12 @@ def frobenius_recurrence_residual(s: SequenceLike, n: int) -> Polynomial:
     seq = as_moments(s)
     if 2 * n + 1 > seq.max_index:
         raise IndexOutOfRange(2 * n + 1, seq.horizon)
-    d_prev = Fraction(1) if n == 0 else hankel_det(seq, n - 1)
-    d_cur = hankel_det(seq, n)
-    dp_cur = Fraction(0) if n == 0 else shifted_det(seq, n - 1)  # D'_n
-    dp_next = shifted_det(seq, n)  # D'_{n+1}
-    p_prev = ZERO if n == 0 else poly_P(seq, n - 1)
-    p_cur = poly_P(seq, n)
-    p_next = poly_P(seq, n + 1)
+    scan = hankel_scan(seq.prefix(2 * n + 2), polys=True)
+    d = (Fraction(1),) + scan.d_values  # D_{n-1} at index n
+    dp = (Fraction(0),) + scan.d_prime_values  # D'_n at index n
+    d_prev, d_cur, dp_cur, dp_next = d[n], d[n + 1], dp[n], dp[n + 1]
+    p_prev = ZERO if n == 0 else Polynomial(scan.p_coeffs(n - 1))
+    p_cur, p_next = Polynomial(scan.p_coeffs(n)), Polynomial(scan.p_coeffs(n + 1))
     return (
         (d_prev * d_cur) * p_cur.times_x()
         - (d_prev * d_prev) * p_next

@@ -15,6 +15,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
+from hankelkit.approximants import BlockStep, StructureReport
+
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant by cofactor expansion along the first remaining row.
@@ -166,6 +168,85 @@ def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fr
         mid = (a + b) / 2
         pending += [(a, mid), (mid, b)]
     return sorted(done)
+
+
+def oracle_degree_profile(s: Sequence[Fraction], polys: Sequence):
+    """The degree structure of P_0..P_{len(s)//2} (Polynomials, computed elsewhere).
+
+    Derived from the polynomials alone: full degree means degree n; gamma is
+    the ratio of leading coefficients across a gap, checked for
+    proportionality; each block step divides consecutive monic full-degree
+    P_n, a_k being the quotient and -beta_k the remainder's leading
+    coefficient, checked against the monic P at the index before.
+    """
+    n_max = len(polys) - 1
+    full = tuple(n for n in range(n_max + 1) if polys[n].degree == n)
+    anomalies: list[str] = []
+
+    zero_blocks: list[tuple[int, int]] = []
+    start = None
+    for n in range(n_max + 1):
+        if polys[n].is_zero():
+            start = n if start is None else start
+        elif start is not None:
+            zero_blocks.append((start, n - 1))
+            start = None
+    if start is not None:
+        zero_blocks.append((start, n_max))
+
+    gammas: list[tuple[int, Fraction]] = []
+    for k in range(len(full) - 1):
+        a, b = full[k], full[k + 1]
+        if b - a < 2:
+            continue
+        for n in range(a + 1, b - 1):
+            if not polys[n].is_zero():
+                anomalies.append(f"P_{n} expected zero inside gap ({a},{b})")
+        candidate = polys[b - 1]
+        if candidate.is_zero() or candidate.degree != polys[a].degree:
+            anomalies.append(f"P_{b - 1} is not a constant multiple of P_{a}")
+            continue
+        gamma = candidate.leading / polys[a].leading
+        if not (candidate - gamma * polys[a]).is_zero():
+            anomalies.append(f"P_{b - 1} is not proportional to P_{a}")
+            continue
+        gammas.append((k, gamma))
+
+    blocks = []
+    monic = {n: polys[n].monic() for n in full}
+    for k in range(len(full) - 1):
+        quotient, rem = monic[full[k + 1]].divmod(monic[full[k]])
+        if k == 0:
+            consistent, beta = rem.is_zero(), Fraction(1)
+        elif rem.is_zero() or rem.degree != monic[full[k - 1]].degree:
+            consistent, beta = False, Fraction(0)
+        else:
+            beta = -rem.leading
+            consistent = (rem + beta * monic[full[k - 1]]).is_zero()
+        if not consistent:
+            anomalies.append(f"block recurrence at k={k} has no valid beta")
+        blocks.append(BlockStep(k, quotient, beta, consistent))
+
+    n_last = full[-1]
+    tail = range(n_last + 1, n_max + 1)
+    tail_zero = bool(tail) and all(polys[n].is_zero() for n in tail)
+    for n in tail if not tail_zero else ():
+        # An unfinished gap may end the horizon with one gamma-multiple at n_max.
+        p, last = polys[n], polys[n_last]
+        if p.is_zero():
+            continue
+        if n != n_max or p.degree != last.degree or not (p - (p.leading / last.leading) * last).is_zero():
+            anomalies.append(f"P_{n} has unexpected shape beyond the last full index")
+
+    return StructureReport(
+        full_degree_indices=full,
+        gammas=tuple(gammas),
+        blocks=tuple(blocks),
+        zero_blocks=tuple(zero_blocks),
+        tail_zero=tail_zero,
+        horizon=len(s),
+        anomalies=tuple(anomalies),
+    )
 
 
 # ---------------------------------------------------------------------------

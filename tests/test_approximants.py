@@ -1,5 +1,6 @@
 """Approximating sequences, gap determinants, and the P_n degree structure."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,8 @@ from hankelkit import (
     shifted_gap_det,
     shifted_recurrence_coeffs,
 )
+
+from hankelkit import approximants
 
 from oracles import random_fraction, random_sequence
 
@@ -276,3 +279,27 @@ class TestDegreeProfile:
         assert payload["tail_zero"] is True
         assert payload["anomalies"] == []
         assert payload["blocks"][0]["beta"] == "1"
+
+    def test_block_data_of_a_cubic_step(self):
+        # D_2 = D_3 = 0: P_3 = 0, P_4 = gamma P_2, and P_5 = a(x) P_2 - beta P_1 with cubic a.
+        report = degree_profile([2, 1, 1, 1, 1, 1, 3, 0, 1, 4, 1, 1])
+        assert report.full_degree_indices == (0, 1, 2, 5, 6)
+        assert report.gammas == ((2, F(-4)),)
+        assert report.blocks[2].a == Polynomial([F(37, 8), F(17, 4), F(5, 2), 1])
+        assert [b.beta for b in report.blocks] == [1, F(1, 4), 4, F(-121, 16)]
+        assert report.anomalies == ()
+
+    def test_corrupted_polynomial_is_an_anomaly(self, monkeypatch):
+        # P_5 is built by block k=2; change its constant term as it leaves the scan.
+        real_scan = approximants.hankel_scan
+
+        def corrupted_scan(s, polys=False):
+            scan = real_scan(s, polys)
+            p_int = list(scan.p_int)
+            p_int[5] = (p_int[5][0] + 1,) + p_int[5][1:]
+            return dataclasses.replace(scan, p_int=tuple(p_int))
+
+        monkeypatch.setattr(approximants, "hankel_scan", corrupted_scan)
+        report = degree_profile([2, 1, 1, 1, 1, 1, 3, 0, 1, 4, 1, 1])
+        assert len(report.anomalies) == 1 and "P_5" in report.anomalies[0]
+        assert [b.consistent for b in report.blocks] == [True, True, False, True]

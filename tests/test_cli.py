@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hankelkit.cli import MAX_PRECISION_BITS, main
+from hankelkit.cli import MAX_PRECISION_BITS, MAX_TERMS, main
 
 
 def write_json(tmp_path, name, payload):
@@ -367,3 +367,31 @@ class TestUsageAndParsing:
             capsys, ["solve", path, "--construct", "--precision-bits", "4"]
         )
         assert code == 1
+
+
+class TestLengthCap:
+    def test_input_list_past_the_cap_is_parse_error(self, tmp_path, capsys):
+        ones = ["1"] * (MAX_TERMS + 1)
+        for argv, doc in (
+            (["det"], {"sequence": ones}),
+            (["solve"], {"target": ones}),
+            (["jacobi", "--invert"], {"a": ones, "b": ones}),
+        ):
+            code, out, err = run(capsys, argv + [write_json(tmp_path, "big.json", doc)])
+            assert (code, out) == (2, "")
+            assert json.loads(err)["kind"] == "parse_error"
+        at_cap = write_json(tmp_path, "s.json", {"sequence": ones[:MAX_TERMS]})
+        assert len(run_ok(capsys, ["det", at_cap])["D"]) == (MAX_TERMS - 1) // 2 + 1
+
+    def test_count_flag_past_the_cap_is_usage_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", "3", "2", "5"]})
+        for argv in (
+            ["approx", "--r", "2", "--len", str(MAX_TERMS + 1)],
+            ["poly", "--max-n", str(MAX_TERMS + 1)],
+            ["jacobi", "--max-n", str(MAX_TERMS + 1)],
+        ):
+            code, out, err = run(capsys, argv + [path])
+            assert (code, out) == (1, "")
+            assert json.loads(err)["kind"] == "UsageError"
+        payload = run_ok(capsys, ["approx", "--r", "2", "--len", str(MAX_TERMS), path])
+        assert len(payload["sequence"]) == MAX_TERMS

@@ -4,7 +4,9 @@ Every D_n, D'_{n+1} and P_n the scan returns is recomputed by Bareiss
 elimination (`fraction_free_det`, `bottom_row_minors`) and, for n <= 5, by
 cofactor expansion (`tests/oracles.py`).  The strategies plant the inputs
 where the gap machinery does real work: sparse entries that open zero runs,
-s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.
+s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.  On the same
+strategies, `degree_profile`, which reads its report off the scan's block
+steps, must match monic division of Bareiss P_n (`oracle_degree_profile`).
 """
 
 import math
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelkit import (
+    Polynomial,
+    degree_profile,
     determinant_transform,
     hankel_det,
     p_family,
@@ -34,7 +38,7 @@ from hankelkit.core import (
 )
 from hankelkit.errors import IndexOutOfRange, SingularLeadingMinor
 
-from oracles import oracle_hankel_det, oracle_poly_coeffs, oracle_shifted_det
+from oracles import oracle_degree_profile, oracle_hankel_det, oracle_poly_coeffs, oracle_shifted_det
 
 ORACLE_MAX_N = 5
 
@@ -192,6 +196,53 @@ class TestScanMatchesElimination:
     def test_polynomials_need_polys(self):
         with pytest.raises(ValueError):
             hankel_scan([1, 2, 3]).p_coeffs(1)
+
+
+def check_degree_profile(s):
+    if all(v == 0 for v in s):
+        return  # degree_profile rejects the zero sequence
+    polys = [Polynomial(bareiss_p(s, n)) for n in range(len(s) // 2 + 1)]
+    assert degree_profile(s).to_json() == oracle_degree_profile(s, polys).to_json(), s
+
+
+class TestDegreeProfileMatchesDivision:
+    """The report read off the scan's block steps against monic division of
+    Bareiss P_n (`oracle_degree_profile`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(generic)
+    def test_generic_rationals(self, s):
+        check_degree_profile(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(signs)
+    def test_entries_from_minus_one_zero_one(self, s):
+        check_degree_profile(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rare_ones)
+    def test_mostly_zero_entries(self, s):
+        check_degree_profile(s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(zero_start)
+    def test_zero_first_moment(self, s):
+        check_degree_profile(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(finite_rank())
+    def test_finite_rank_tails(self, s):
+        check_degree_profile(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mid_gap())
+    def test_prefix_ends_inside_a_zero_run(self, s):
+        check_degree_profile(s)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_one_planted_gap_at_every_length(self, length):
+        s = [F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)][:length]
+        check_degree_profile(s)
 
 
 class TestRoutedFunctions:
