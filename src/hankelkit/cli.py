@@ -225,11 +225,9 @@ def _dispatch(args) -> dict:
         seq = _sequence(args.input)
         measure = recover_measure(seq, precision_bits=args.precision_bits)
         residual = verify_moments(measure, seq, precision_bits=args.precision_bits)
-        with mp.workprec(args.precision_bits):
-            if residual.value > mp.mpf(args.tol):
-                raise PrecisionExhausted(
-                    args.precision_bits, mp.nstr(residual.value, 10), args.tol
-                )
+        # The residual is an upper bound; tol rounded down keeps the comparison certified.
+        if residual.value > mp.mpf(args.tol, prec=args.precision_bits, rounding="d"):
+            raise PrecisionExhausted(args.precision_bits, mp.nstr(residual.value, 10), args.tol)
         result = measure.to_json()
         result["residual"] = residual.to_str()
         result["precision_bits"] = args.precision_bits

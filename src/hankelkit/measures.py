@@ -7,25 +7,52 @@ the weight at root lambda is the partial-fraction residue
 Q_r(lambda) / P_r'(lambda), equivalently the reciprocal of the
 Christoffel-Darboux sum  sum_{k<r} P_k(lambda)^2 / (D_k D_{k-1}).
 
-Roots are isolated with exact Sturm chains over the rationals, and each
-isolated (simple) root is refined by the sign of P_r alone: a Newton step from
-the cell's midpoint, computed in integers, proposes a much narrower cell and
-exact integer signs at its two ends must confirm it (Abbott's quadratic
-interval refinement), otherwise the cell is halved.  Both stages cut on one
-dyadic grid, so the enclosures are guaranteed disjoint; no floating point
-enters isolation.  Weights are computed by both formulas at high precision
-(each coefficient rounded once per measure) and must agree, and the recovered
-measure's moments are re-checked against the input in outward-rounded
-interval arithmetic.  Nothing in this module trusts an unverified numeric step.
+Roots are isolated with exact Sturm chains over the integers (primitive
+pseudo-remainders, each a positive multiple of the rational chain's element),
+and each isolated (simple) root is refined by the sign of P_r alone: a Newton
+step from the cell's midpoint, computed in integers, proposes a much narrower
+cell and exact integer signs at its two ends must confirm it (Abbott's
+quadratic interval refinement), otherwise the cell is halved.  Both stages
+cut on one dyadic grid, so the enclosures are guaranteed disjoint; no
+floating point enters isolation.  Weights are computed by both formulas on
+mpmath's raw mpf tuples at precision_bits, every step rounded to nearest
+(each rational converted once per measure, as mp.mpf(numerator) / denominator
+converts it), and must agree.  The recovered measure's moments are re-checked
+against the input in interval arithmetic on raw interval tuples at
+precision_bits, rounded outward at every step; the residual's upper end is
+rounded up and never rounded again.  Nothing in this module trusts an
+unverified numeric step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from mpmath import iv, libmp, mp
+from mpmath import mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_shift,
+    mpf_sign,
+    mpf_sub,
+    mpi_abs,
+    mpi_add,
+    mpi_mul,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 
 from .core import (
     HankelScan,
@@ -52,8 +79,6 @@ from .scalars import (
     RealScalar,
     format_rational,
     parse_rational,
-    real_scalar,
-    to_mpf,
 )
 
 
@@ -174,13 +199,50 @@ def _sign_at(coeffs: Sequence[int], x: Fraction | _Unreduced) -> int:
     return (value > 0) - (value < 0)
 
 
+def _primitive(coeffs: Sequence[int]) -> list[int]:
+    """coeffs divided by their content (a positive gcd); [] stays []."""
+    content = gcd(*coeffs) or 1
+    return [c // content for c in coeffs]
+
+
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of -(a mod b), primitive, for integer a, b (b nonzero).
+
+    Pseudo-division that never multiplies by a negative number: each step
+    scales the running remainder by |lc(b)| and cancels its top coefficient
+    against a shifted b, so after k steps it is |lc(b)|^k times the rational
+    remainder, whatever the sign of lc(b).
+    """
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    rem = list(a)
+    while len(rem) >= len(b):
+        factor = rem[-1] * sign  # factor * lead = scale * top, so the top cancels
+        shift = len(rem) - len(b)
+        rem = [scale * c for c in rem]
+        for k, c in enumerate(b):
+            rem[shift + k] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _primitive([-c for c in rem])
+
+
 def _sturm_chain(p: Polynomial) -> list[list[int]]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        _, rem = chain[-2].divmod(chain[-1])
-        chain.append(-rem)
-    chain.pop()
-    return [scale_to_integers(q.coeffs)[0] for q in chain]
+    """The Sturm chain of p over the integers, lowest coefficient first.
+
+    Starts from the primitive integer multiple of p and of its derivative;
+    each later element is the primitive negated pseudo-remainder of the two
+    before it.  Every element is a positive multiple of the classical chain
+    p, p', -rem(p, p'), ... over the rationals, so every sign, and every
+    sign-change count, is the classical one.
+    """
+    a = _primitive(scale_to_integers(p.coeffs)[0])
+    b = _primitive([k * c for k, c in enumerate(a)][1:])
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, _negated_remainder(a, b)
+    return chain
 
 
 def _sign_changes(chain: list[list[int]], x: Fraction | _Unreduced) -> int:
@@ -336,61 +398,64 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
     The two weight formulas (partial-fraction residue and reciprocal
     Christoffel-Darboux sum) must agree within 2^-(precision_bits/2) relative
     on every atom, and every weight must be strictly positive.
+
+    All float arithmetic is on mpmath's raw mpf tuples at precision_bits,
+    each operation rounded to nearest.  Every rational (a coefficient of
+    Q_r, P_r' or P_0..P_{r-1}, a norm D_k D_{k-1}, an enclosure's midpoint)
+    enters as mp.mpf(numerator) / denominator does: the numerator rounded
+    first, then divided by the exact denominator.  Polynomials are evaluated
+    in mp.polyval's Horner order, c + x * acc from the top coefficient down.
     """
     seq = as_moments(s)
     r, scan = _psd_flat_scan(seq)
-    family = [Polynomial(scan.p_coeffs(k)) for k in range(r + 1)]
-    p_r = family[r]
+    p_r = Polynomial(scan.p_coeffs(r))
     q_r = second_kind(seq, p_r)
     intervals = isolate_real_roots(p_r, precision_bits)
     if len(intervals) != r:
         raise RootCountMismatch(r, len(intervals))
     d = [Fraction(1)] + list(scan.d_values)  # d[k+1] = D_k, d[0] = D_{-1}
-    p_prime = p_r.derivative()
+    prec = precision_bits
 
+    def rounded(values: Sequence[Fraction]) -> list[tuple]:
+        return [
+            mpf_div(from_int(v.numerator, prec, round_nearest), from_int(v.denominator), prec, round_nearest)
+            for v in values
+        ]
+
+    def horner(coeffs: Sequence[tuple], x: tuple) -> tuple:
+        """coeffs highest first, as mp.polyval takes them."""
+        acc = coeffs[0]
+        for c in coeffs[1:]:
+            acc = mpf_add(c, mpf_mul(x, acc, prec, round_nearest), prec, round_nearest)
+        return acc
+
+    q_mpf = rounded(q_r.coeffs[::-1])
+    p_prime_mpf = rounded(p_r.derivative().coeffs[::-1])
+    family_mpf = [rounded(scan.p_coeffs(k)[::-1]) for k in range(r)]  # P_k has degree k: D_{k-1} > 0
+    norms = rounded([d[k + 1] * d[k] for k in range(r)])
     atoms = []
-    with mp.workprec(precision_bits):
-        # Each value rounded once per measure, as Polynomial.eval_mpf and to_mpf
-        # round it; mp.polyval's Horner order is eval_mpf's, so weights are unchanged.
-        def rounded(values: Sequence[Fraction]) -> list:
-            return [mp.mpf(v.numerator) / v.denominator for v in values]
-
-        q_mpf = rounded(q_r.coeffs[::-1])
-        p_prime_mpf = rounded(p_prime.coeffs[::-1])
-        family_mpf = [rounded(p.coeffs[::-1]) for p in family[:r]]
-        norms = rounded([d[k + 1] * d[k] for k in range(r)])
-        threshold = mp.mpf(2) ** -(precision_bits // 2)
-        for index, interval in enumerate(intervals):
-            lam = to_mpf(interval.midpoint, precision_bits)
-            w_residue = mp.polyval(q_mpf, lam) / mp.polyval(p_prime_mpf, lam)
-            cd_sum = mp.mpf(0)
-            for coeffs, norm in zip(family_mpf, norms):
-                value = mp.polyval(coeffs, lam)
-                cd_sum += value * value / norm
-            w_cd = 1 / cd_sum
-            delta = abs(w_residue - w_cd)
-            if delta > threshold * max(mp.mpf(1), abs(w_residue)):
-                raise WeightMismatch(index, mp.nstr(delta, 10))
-            if w_residue <= 0:
-                raise NonPositiveWeight(index, mp.nstr(w_residue, 10))
-            atoms.append(
-                Atom(
-                    location=real_scalar(lam, precision_bits),
-                    enclosure=interval,
-                    weight=real_scalar(w_residue, precision_bits),
-                )
+    for index, (interval, lam) in enumerate(zip(intervals, rounded([cell.midpoint for cell in intervals]))):
+        w_residue = mpf_div(horner(q_mpf, lam), horner(p_prime_mpf, lam), prec, round_nearest)
+        cd_sum = fzero
+        for coeffs, norm in zip(family_mpf, norms):
+            value = horner(coeffs, lam)
+            term = mpf_div(mpf_mul(value, value, prec, round_nearest), norm, prec, round_nearest)
+            cd_sum = mpf_add(cd_sum, term, prec, round_nearest)
+        w_cd = mpf_div(fone, cd_sum, prec, round_nearest)
+        delta = mpf_abs(mpf_sub(w_residue, w_cd, prec, round_nearest))
+        scale = mpf_abs(w_residue)
+        if mpf_gt(delta, mpf_shift(scale if mpf_gt(scale, fone) else fone, -(prec // 2))):
+            raise WeightMismatch(index, mp.nstr(mp.make_mpf(delta), 10))
+        if mpf_sign(w_residue) <= 0:
+            raise NonPositiveWeight(index, mp.nstr(mp.make_mpf(w_residue), 10))
+        atoms.append(
+            Atom(
+                location=RealScalar(mp.make_mpf(lam), prec),
+                enclosure=interval,
+                weight=RealScalar(mp.make_mpf(w_residue), prec),
             )
+        )
     return DiscreteMeasure(atoms=tuple(atoms), r=r)
-
-
-def _iv_from_fraction(value: Fraction, precision_bits: int):
-    lo = mp.make_mpf(
-        libmp.from_rational(value.numerator, value.denominator, precision_bits, libmp.round_floor)
-    )
-    hi = mp.make_mpf(
-        libmp.from_rational(value.numerator, value.denominator, precision_bits, libmp.round_ceiling)
-    )
-    return iv.mpf((lo, hi))
 
 
 def verify_moments(
@@ -401,10 +466,13 @@ def verify_moments(
 ) -> RealScalar:
     """Upper bound on max_n |sum_k mu_k lambda_k^n - s_n| over the prefix.
 
-    Locations enter as their full enclosures and endpoints are rounded
-    outward, so the result is a certified bound, not an estimate.  The tol
-    argument is advisory only (this function always returns the residual;
-    callers compare).
+    Interval arithmetic on mpmath's raw interval tuples at precision_bits:
+    locations enter as their full enclosures and moments as intervals, both
+    rounded outward, and every sum, product and absolute value rounds its
+    lower end down and its upper end up.  The result is the largest upper
+    end, returned as computed (never rounded again), so it is a certified
+    bound, not an estimate.  The tol argument is advisory only (this function
+    always returns the residual; callers compare).
     """
     del tol  # semantic comparison is the caller's job
     seq = as_moments(s)
@@ -413,34 +481,27 @@ def verify_moments(
             (atom.location.precision_bits for atom in measure.atoms),
             default=DEFAULT_PRECISION_BITS,
         )
-    old_prec = iv.prec
-    iv.prec = precision_bits
-    try:
-        worst = mp.mpf(0)
-        locations = [
-            iv.mpf(
-                (
-                    _iv_from_fraction(atom.enclosure.lo, precision_bits).a,
-                    _iv_from_fraction(atom.enclosure.hi, precision_bits).b,
-                )
-            )
-            for atom in measure.atoms
-        ]
-        weights = [iv.mpf(atom.weight.value) for atom in measure.atoms]
-        powers = [iv.mpf(1) for _ in measure.atoms]
-        for n in range(len(seq)):
-            total = iv.mpf(0)
-            for k in range(len(measure.atoms)):
-                total += weights[k] * powers[k]
-                powers[k] *= locations[k]
-            diff = total - _iv_from_fraction(seq[n], precision_bits)
-            bound = abs(diff)
-            upper = mp.mpf(bound.b)
-            if upper > worst:
-                worst = upper
-    finally:
-        iv.prec = old_prec
-    return real_scalar(worst, precision_bits)
+    prec = precision_bits
+
+    def outward(lo: Fraction, hi: Fraction) -> tuple:
+        return (
+            from_rational(lo.numerator, lo.denominator, prec, round_floor),
+            from_rational(hi.numerator, hi.denominator, prec, round_ceiling),
+        )
+
+    locations = [outward(atom.enclosure.lo, atom.enclosure.hi) for atom in measure.atoms]
+    weights = [(atom.weight.value._mpf_,) * 2 for atom in measure.atoms]
+    powers = [(fone, fone)] * len(measure.atoms)
+    worst = fzero
+    for n in range(len(seq)):
+        total = (fzero, fzero)
+        for k, (weight, location) in enumerate(zip(weights, locations)):
+            total = mpi_add(total, mpi_mul(weight, powers[k], prec), prec)
+            powers[k] = mpi_mul(powers[k], location, prec)
+        upper = mpi_abs(mpi_sub(total, outward(seq[n], seq[n]), prec), prec)[1]
+        if mpf_gt(upper, worst):
+            worst = upper
+    return RealScalar(mp.make_mpf(worst), prec)
 
 
 def cd_identity_residual(s: SequenceLike, r: int) -> Polynomial:

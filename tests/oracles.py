@@ -3,8 +3,10 @@
 Everything here is deliberately naive and structurally different from the
 production code: determinants by memoized cofactor expansion (not
 elimination), polynomial coefficients straight from their determinant
-definitions, rank by plain Gaussian elimination with division.  Slow but
-obviously correct at desk scale; the tests demand bit-exact agreement.
+definitions, rank by plain Gaussian elimination with division, Sturm chains
+by Fraction polynomial division, measure weights and residual bounds through
+mpmath's high-level mp and iv contexts.  Slow but obviously correct at desk
+scale; the tests demand bit-exact agreement.
 """
 
 from __future__ import annotations
@@ -15,7 +17,11 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
+from mpmath import iv, libmp, mp
+
 from hankelkit.approximants import BlockStep, StructureReport
+from hankelkit.core import hankel_det
+from hankelkit.polynomials import poly_P, poly_Q
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -123,6 +129,17 @@ def oracle_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
+def oracle_sturm_chain(p) -> list:
+    """The classical Sturm chain of a Polynomial over the rationals: p, p',
+    then each negated remainder of Fraction polynomial division, down to the
+    last nonzero one."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+    chain.pop()
+    return chain
+
+
 def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fraction]]:
     """Enclosures (lo, hi] of the real roots of a Polynomial by plain Sturm bisection.
 
@@ -131,13 +148,9 @@ def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fr
     max(1, B) / 2^precision_bits wide (B the Cauchy bound) and holds one
     root.  Cells start from [-B-1, B+1] and always split at their midpoint.
     """
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-chain[-2].divmod(chain[-1])[1])
-    chain.pop()
     # Positive rescalings keep every sign: integer coefficients, lowest first.
     integer_chain = []
-    for q in chain:
+    for q in oracle_sturm_chain(p):
         scale = 1
         for c in q.coeffs:
             scale = scale * c.denominator // gcd(scale, c.denominator)
@@ -247,6 +260,75 @@ def oracle_degree_profile(s: Sequence[Fraction], polys: Sequence):
         horizon=len(s),
         anomalies=tuple(anomalies),
     )
+
+
+def oracle_measure_floats(s: Sequence[Fraction], enclosures, precision_bits: int) -> list[tuple]:
+    """(location, residue weight, Christoffel-Darboux weight) of each atom, as
+    raw mpf tuples, through mpmath's mp context at precision_bits.
+
+    Each atom is at its enclosure's midpoint; every rational enters as
+    mp.mpf(numerator) / denominator and every polynomial goes through
+    mp.polyval.  The exact P_k, Q_r and D_k (r the number of enclosures) come
+    from the library, whose exact values the other oracles check; cofactor
+    expansion is too slow past order 8.
+    """
+    r = len(enclosures)
+    family = [poly_P(s, k) for k in range(r + 1)]
+    q_r = poly_Q(s, r)
+    d = [Fraction(1)] + [hankel_det(s, k) for k in range(r)]
+    out = []
+    with mp.workprec(precision_bits):
+
+        def rounded(values):
+            return [mp.mpf(v.numerator) / v.denominator for v in values]
+
+        q_mpf = rounded(q_r.coeffs[::-1])
+        p_prime_mpf = rounded(family[r].derivative().coeffs[::-1])
+        family_mpf = [rounded(p.coeffs[::-1]) for p in family[:r]]
+        norms = rounded([d[k + 1] * d[k] for k in range(r)])
+        for cell in enclosures:
+            lam = rounded([cell.midpoint])[0]
+            w_residue = mp.polyval(q_mpf, lam) / mp.polyval(p_prime_mpf, lam)
+            cd_sum = mp.mpf(0)
+            for coeffs, norm in zip(family_mpf, norms):
+                value = mp.polyval(coeffs, lam)
+                cd_sum += value * value / norm
+            out.append((lam._mpf_, w_residue._mpf_, (1 / cd_sum)._mpf_))
+    return out
+
+
+def oracle_residual_bound(atoms, s: Sequence[Fraction], precision_bits: int) -> tuple:
+    """Upper end of max_n |sum_k w_k x_k^n - s_n| as a raw mpf tuple, through
+    mpmath's iv context at precision_bits.
+
+    atoms are (enclosure lo, enclosure hi, weight mpf) triples; each location
+    is the interval between its enclosure's ends rounded outward, each moment
+    the interval between its value rounded down and up.
+    """
+
+    def interval(lo: Fraction, hi: Fraction):
+        a = libmp.from_rational(lo.numerator, lo.denominator, precision_bits, libmp.round_floor)
+        b = libmp.from_rational(hi.numerator, hi.denominator, precision_bits, libmp.round_ceiling)
+        return iv.mpf((mp.make_mpf(a), mp.make_mpf(b)))
+
+    old_prec = iv.prec
+    iv.prec = precision_bits
+    try:
+        locations = [interval(lo, hi) for lo, hi, _ in atoms]
+        weights = [iv.mpf(w) for _, _, w in atoms]
+        powers = [iv.mpf(1) for _ in atoms]
+        worst = libmp.fzero
+        for value in s:
+            total = iv.mpf(0)
+            for k in range(len(atoms)):
+                total += weights[k] * powers[k]
+                powers[k] *= locations[k]
+            upper = abs(total - interval(Fraction(value), Fraction(value)))._mpi_[1]
+            if libmp.mpf_gt(upper, worst):
+                worst = upper
+    finally:
+        iv.prec = old_prec
+    return worst
 
 
 # ---------------------------------------------------------------------------

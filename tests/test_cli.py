@@ -1,6 +1,8 @@
 """End-to-end command-line tests: exit codes, JSON payloads, determinism."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -312,6 +314,32 @@ class TestMeasure:
         code, _, err = run(capsys, ["measure", path, "--tol", "1e-200"])
         assert code == 4
         assert json.loads(err)["kind"] == "precision_exhausted"
+
+
+# Recorded CLI output (exit code, stdout, stderr) of measure on pinned_moments(r);
+# the float stages of measure recovery must leave every printed byte alone.
+PINNED_MEASURE_OUTPUTS = Path(__file__).parent / "data" / "measure_cli_outputs.json"
+
+
+def pinned_moments(r):
+    """s_0..s_{2r+1} of r atoms n/7 spread over [-60/7, 60/7], weights b/c with c <= 4."""
+    width = 120 // r
+    atoms = [
+        (Fraction(-60 + i * width + (3 * i) % width, 7), Fraction(5 + i % 5, 1 + i % 4)) for i in range(r)
+    ]
+    return [str(sum((w * x**n for x, w in atoms), Fraction(0))) for n in range(2 * r + 2)]
+
+
+class TestMeasurePinnedOutput:
+    @pytest.mark.parametrize("r", [3, 7, 12])
+    @pytest.mark.parametrize("bits", [256, 64])  # at 64 bits the residual misses 1e-20: exit 4
+    def test_byte_identical(self, tmp_path, capsys, r, bits):
+        expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))[f"rank{r}-{bits}bits"]
+        path = write_json(tmp_path, "s.json", {"sequence": pinned_moments(r)})
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits)])
+        assert code == expected["exit"] == (0 if bits == 256 else 4)
+        assert out == expected["stdout"]
+        assert err == expected["stderr"]
 
 
 class TestUsageAndParsing:

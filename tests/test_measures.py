@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction as F
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import to_rational
 
 from hankelkit import measures
 from hankelkit import (
@@ -29,9 +30,17 @@ from hankelkit import (
     recover_measure,
     verify_moments,
 )
+from hankelkit.measures import Atom, DiscreteMeasure
 from hankelkit.polynomials import ZERO
+from hankelkit.scalars import real_scalar
 
-from oracles import oracle_isolate_real_roots, random_sequence
+from oracles import (
+    oracle_isolate_real_roots,
+    oracle_measure_floats,
+    oracle_residual_bound,
+    oracle_sturm_chain,
+    random_sequence,
+)
 
 
 def linear_product(roots):
@@ -39,6 +48,11 @@ def linear_product(roots):
     for x in roots:
         p = p * Polynomial([-x, 1])
     return p
+
+
+def exact(value) -> F:
+    """The exact rational value of an mpf."""
+    return F(*to_rational(value._mpf_))
 
 
 def random_atoms(rng, r, span=5):
@@ -260,6 +274,46 @@ class TestRefinementAgainstBisection:
         assert len(intervals) == p.degree
 
 
+# (x - root)^multiplicity factors, optionally times x^2 + k (no real roots),
+# times a nonzero scale of either sign: repeated, clustered and conjugate roots.
+sturm_polynomials = st.builds(
+    lambda factors, pairs, quadratic, scale: (
+        linear_product([x for x, m in factors for _ in range(m)] + [x for pair in pairs for x in pair])
+        * (Polynomial([quadratic, 0, 1]) if quadratic else Polynomial([1]))
+        * scale
+    ),
+    st.lists(st.tuples(st.one_of(dyadic_roots, rational_roots), st.integers(1, 3)), min_size=1, max_size=4),
+    st.lists(close_pairs, max_size=1),
+    st.sampled_from([0, 0, 1, 3]),
+    st.sampled_from([F(1), F(-1), F(5, 7), F(-3, 2), F(-7)]),
+)
+
+
+class TestIntegerSturmChain:
+    """The integer chain against Fraction polynomial division (oracle_sturm_chain)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sturm_polynomials)
+    @example(Polynomial([F(1, 3), -1]))  # degree 1, negative leading coefficient
+    # Roots summing to 0: p mod p' loses two degrees in one pseudo-division step.
+    @example(linear_product([F(-2), F(-1), F(1), F(2)]) * -1)
+    @example(linear_product([F(1)] * 3 + [F(-2)] * 2) * F(-3, 2))  # gcd(p, p') of degree 3
+    @example(Polynomial([-1, 0, 0, 0, -1]))  # -(x^4 + 1): p mod p' is a constant
+    def test_each_element_is_a_positive_multiple(self, p):
+        chain = measures._sturm_chain(p)
+        expected = oracle_sturm_chain(p)
+        assert len(chain) == len(expected)
+        for ints, q in zip(chain, expected):
+            assert len(ints) == len(q.coeffs)
+            ratio = F(ints[-1]) / q.leading
+            assert ratio > 0
+            assert all(F(c) == ratio * e for c, e in zip(ints, q.coeffs))
+
+    def test_elements_are_primitive(self):
+        chain = measures._sturm_chain(linear_product([F(1, 3), F(2, 5), F(-7, 4)]) * F(-6, 11))
+        assert all(gcd(*ints) == 1 for ints in chain)
+
+
 class TestRecoverMeasure:
     def test_two_unit_atoms(self):
         measure = recover_measure([2, 1, 1, 1, 1, 1], 256)
@@ -380,12 +434,61 @@ class TestVerifyMoments:
         bound = verify_moments(measure, perturbed)
         assert bound.value > mp.mpf("0.0005")
 
+    def test_bound_is_never_below_the_exact_residual(self):
+        # One atom at 1/2, weight w = 1/(3k) rounded at 256 bits, against
+        # moments [1, 1/2]: the exact residual is 1 - w, at n = 0.  Rounding
+        # the bound to nearest at 53 bits puts it below 1 - w for 19 of these k.
+        enclosure = Interval(F(1, 2) - F(1, 2**300), F(1, 2))
+        for k in range(1, 41):
+            weight = real_scalar(F(1, 3 * k), 256)
+            atom = Atom(location=real_scalar(F(1, 2), 256), enclosure=enclosure, weight=weight)
+            bound = verify_moments(DiscreteMeasure(atoms=(atom,), r=1), [1, F(1, 2)])
+            assert bound.precision_bits == 256
+            assert exact(bound.value) >= 1 - exact(weight.value)
+
     def test_tol_argument_is_advisory(self):
         s = moments_of_atoms([("1", "2")], 4)
         measure = recover_measure(s, 128)
         loose = verify_moments(measure, s, tol="1e-1")
         tight = verify_moments(measure, s, tol="1e-40")
         assert loose.value == tight.value
+
+
+# r distinct atoms n/7 in [-60/7, 60/7] with weights b/c, c <= 4, r = 1..12.
+rational_measures = st.lists(
+    st.tuples(st.integers(-60, 60).map(lambda n: F(n, 7)), st.fractions(F(1, 4), 9, max_denominator=4)),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda atom: atom[0],
+)
+
+
+class TestAgainstMpmathContexts:
+    """Raw-tuple weights and residuals bit for bit against mpmath's mp and iv contexts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_measures, st.sampled_from([64, 256, 1024]))
+    @example([(F(n, 7), F(5 + n % 5, 1 + n % 4)) for n in range(-55, 60, 10)], 1024)
+    def test_locations_weights_and_residual_bits(self, atoms, bits):
+        r = len(atoms)
+        s = moments_of_atoms(atoms, 2 * r + 1)
+        measure = recover_measure(s, bits)
+        assert measure.r == r
+        expected = oracle_measure_floats(s.terms, [atom.enclosure for atom in measure.atoms], bits)
+        for atom, (location, weight, weight_cd) in zip(measure.atoms, expected):
+            assert atom.location.value._mpf_ == location
+            assert atom.weight.value._mpf_ == weight
+            # The library accepted this atom, so the oracle's two formulas agree as well.
+            with mp.workprec(bits):
+                w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
+                assert abs(w - w_cd) <= mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
+        triples = [(a.enclosure.lo, a.enclosure.hi, a.weight.value) for a in measure.atoms]
+        perturbed = list(s.terms)
+        perturbed[0] -= F(1, 7)
+        perturbed[-1] += F(1, 3)
+        for target in (s.terms, perturbed):
+            bound = verify_moments(measure, target, precision_bits=bits)
+            assert bound.value._mpf_ == oracle_residual_bound(triples, target, bits)
 
 
 class TestCDResidual:
