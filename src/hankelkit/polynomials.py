@@ -28,6 +28,7 @@ from .core import (
     SequenceLike,
     as_moments,
     hankel_scan,
+    scale_to_integers,
 )
 from .errors import (
     IndexOutOfRange,
@@ -259,11 +260,12 @@ def second_kind(s: SequenceLike, p: Polynomial) -> Polynomial:
     q_m = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.
     """
     seq = as_moments(s)
-    coeffs = p.coeffs
-    return Polynomial(
-        sum((coeffs[k + m + 1] * seq[k] for k in range(len(coeffs) - m - 1)), Fraction(0))
-        for m in range(len(coeffs) - 1)
-    )
+    n = len(p.coeffs) - 1
+    # One integer convolution over the two denominator lcms, then one division per q_m.
+    p_int, p_scale = scale_to_integers(p.coeffs[1:])
+    s_int, s_scale = scale_to_integers([seq[k] for k in range(n)])
+    scale = p_scale * s_scale
+    return Polynomial(Fraction(sum(p_int[k + m] * s_int[k] for k in range(n - m)), scale) for m in range(n))
 
 
 def poly_Q(s: SequenceLike, n: int) -> Polynomial:

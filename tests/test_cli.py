@@ -1,12 +1,14 @@
 """End-to-end command-line tests: exit codes, JSON payloads, determinism."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hankelkit.cli import MAX_PRECISION_BITS, MAX_TERMS, main
+from hankelkit import cli
+from hankelkit.cli import COMMANDS, MAX_PRECISION_BITS, MAX_TERMS, build_parser, main
 
 
 def write_json(tmp_path, name, payload):
@@ -199,6 +201,15 @@ class TestSolve:
         profile = run_ok(capsys, ["det", s_path])
         assert profile["D"] == ["2", "1"]
 
+    def test_non_string_policy_in_file_is_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "t.json", {"target": ["2", "1"], "policy": 5})
+        code, out, err = run(capsys, ["solve", path, "--construct"])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "parse_error"
+        # The flag still wins over the file.
+        payload = run_ok(capsys, ["solve", path, "--construct", "--policy", "zeros"])
+        assert payload["solution"] == ["2", "0", "1/2"]
+
     def test_bad_policy_is_parse_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["2", "1"]})
         code, _, err = run(capsys, ["solve", path, "--construct", "--policy", "x"])
@@ -363,6 +374,21 @@ class TestUsageAndParsing:
         code, _, err = run(capsys, ["det", str(path)])
         assert code == 2
 
+    def test_input_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"sequence": ["1", "\xff"]}')
+        code, out, err = run(capsys, ["det", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "parse_error"
+
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        depth = 200_000
+        path = tmp_path / "deep.json"
+        path.write_text('{"sequence": ' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, ["det", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "parse_error"
+
     def test_wrong_shape(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"values": ["1"]})
         code, _, err = run(capsys, ["det", path])
@@ -423,3 +449,52 @@ class TestLengthCap:
             assert json.loads(err)["kind"] == "UsageError"
         payload = run_ok(capsys, ["approx", "--r", "2", "--len", str(MAX_TERMS), path])
         assert len(payload["sequence"]) == MAX_TERMS
+
+
+# Argument lists after a command and its input file; None stands for the command alone.
+COMMAND_TAILS = [None, [], ["-h"], ["--bogus"], ["extra"], ["--r", "x"], ["--r", "1"],
+                 ["--max-n", "x"], ["--max", "1"], ["--len", "2", "--r", "1"], ["--invert"],
+                 ["--con"], ["--p", "zeros"], ["--precision-bits", "7"], ["--prec", "64"],
+                 ["--precision-bits", "1e3"], ["--tol", "abc"], ["--tol", "-1"], ["--tol", "1e-9"]]
+# Argument lists whose first entry is not a command.
+NO_COMMAND = [[], ["-h"], ["--help"], ["--"], ["--", "det", "x.json"], ["frobnicate", "x.json"],
+              ["de", "x.json"], ["DET", "x.json"], ["-x"], ["--det", "x.json"]]
+
+
+def differential_cases():
+    yield from NO_COMMAND
+    for name in COMMANDS:
+        for tail in COMMAND_TAILS:
+            yield [name] if tail is None else [name, "<input>"] + tail
+
+
+class TestPerCommandParser:
+    """main builds a parser for the named command only; it must act as the full one."""
+
+    @pytest.mark.parametrize("argv", list(differential_cases()), ids=" ".join)
+    def test_matches_the_full_parser(self, tmp_path, capsys, monkeypatch, argv):
+        moments = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]})
+        targets = write_json(tmp_path, "t.json", {"target": ["2", "1"]})
+        argv = [(targets if argv[0] == "solve" else moments) if a == "<input>" else a for a in argv]
+
+        def outcome():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h prints help and exits
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        built = []
+
+        def spy(command=None):
+            built.append(build_parser(command))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        got = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert got == outcome()
+        assert len(built) == 1
+        sub = next(a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == ({argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS))

@@ -24,6 +24,7 @@ from hankelkit import (
     moments_from_jacobi,
     poly_P,
     poly_Q,
+    second_kind,
     shifted_det,
     solve_prescribed,
 )
@@ -149,6 +150,13 @@ class TestPolyQ:
             n = rng.randint(0, 4)
             s = random_sequence(rng, 2 * n + 1)
             assert list(poly_Q(s, n).coeffs) == oracle_q_coeffs(s, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(poly_st, st.lists(fractions_st, min_size=5, max_size=5))
+    def test_second_kind_of_any_polynomial_is_the_convolution(self, p, s):
+        n = len(p.coeffs) - 1
+        q = [sum((p[k + m + 1] * s[k] for k in range(n - m)), F(0)) for m in range(n)]
+        assert second_kind(s, p) == Polynomial(q)
 
     def test_degree_bound(self):
         rng = random.Random(1004)
