@@ -21,6 +21,7 @@ covers:
 from .core import (
     DeterminantProfile,
     HankelScan,
+    HankelScanner,
     MomentSequence,
     as_moments,
     binomial_transform,
@@ -124,6 +125,7 @@ __all__ = [
     "GapHypothesisViolated",
     "HankelError",
     "HankelScan",
+    "HankelScanner",
     "IndexOutOfRange",
     "Interval",
     "InverseSolution",

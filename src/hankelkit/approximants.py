@@ -81,11 +81,15 @@ def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    p = poly_P(seq, r).padded(r + 1)
-    lead = p[r]  # D_{r-1}
-    if lead == 0:
+    return _recurrence_from_p(poly_P(seq, r).coeffs, r)
+
+
+def _recurrence_from_p(p: Sequence[Fraction], r: int) -> ApproxRecurrence:
+    """d_k = -p_{r,k}/D_{r-1} off P_r's coefficients p, lowest first; D_{r-1} leads."""
+    if len(p) <= r or p[r] == 0:
         raise SingularLeadingMinor(r)
-    return ApproxRecurrence(r, tuple(-p[k] / lead for k in range(r)))
+    lead = p[r]
+    return ApproxRecurrence(r, tuple([-p[k] / lead for k in range(r)]))
 
 
 def _extension_values(seq: Sequence, rec: ApproxRecurrence, upto: int) -> list:

@@ -19,13 +19,18 @@ Exit codes: 0 success, 1 usage, 2 parse, 3 precondition violation,
 4 precision exhausted.  Input lists and --len / --max-n are capped at
 MAX_TERMS.
 
-main builds a parser holding only the subcommand its first argument names,
-from the same COMMANDS table as the full parser; any other first argument
-(none, -h, --, a typo) gets the full parser, so help texts and usage errors
-do not depend on which was built.  No parser is kept between calls: a cached
-one leaves the cyclic collector less garbage, so CPython runs full
-collections less often and holds more freed memory in its free lists, which
-raised peak RSS by more than the benchmark's 10% bound.
+main parses with a parser holding only the subcommand its first argument
+names, from the same COMMANDS table as the full parser; any other first
+argument (none, -h, --, a typo) gets the full parser, so help texts and usage
+errors do not depend on which was built.  Each of these parsers is built on
+first use and kept in PARSERS for the life of the process: building one costs
+about a third of a short document's whole run, and argparse does not change
+a parser by parsing with it.  Keeping them does not raise peak RSS, which
+follows how often CPython runs a full collection: once main built only the
+invoked command's parser, the garbage it left per call was already too little
+to make full collections frequent, so keeping it changes their rate little.
+On the benchmark's zero_blocks workload peak RSS went from 27.5 MB, parsers
+built per call, to 26.8 MB, parsers kept (medians of six runs).
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ MEASURE_TOLERANCE = "1e-20"
 # faster than the precision; a larger request would look like a hang.
 MAX_PRECISION_BITS = 65536
 # The most entries an input list (sequence, target, Jacobi a or b) may have, and the
-# largest --len or --max-n.  At 200 random one-digit rationals jacobi --invert takes
-# 31 s on a 2-vCPU host, any other command under 4 s, except that solve --construct
-# on exact targets passes a minute from about 50 entries (its certificate).
+# largest --len or --max-n.  At 200 random one-digit rationals every command takes
+# under 4 s on a 2-vCPU host (jacobi --invert about 1 s), except that solve
+# --construct on exact targets passes a minute from about 50 entries (its certificate).
 MAX_TERMS = 200
 
 
@@ -133,7 +138,7 @@ COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; given a command name, one that holds only that subcommand.
+    """A new CLI parser; given a command name, one that holds only that subcommand.
 
     A one-command parser parses that command's argument lists exactly as the
     full parser does: a subcommand's arguments, errors and help are its own.
@@ -147,6 +152,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         for flag, kwargs in options:
             cmd.add_argument(flag, **kwargs)
     return parser
+
+
+# The parsers main has built, by command name (None: the full parser).
+PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
 
 
 def _load_json(path: str):
@@ -259,8 +268,10 @@ def _emit_error(payload: dict) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # All eight subparsers cost more to build than a short document's computation.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    key = argv[0] if argv and argv[0] in COMMANDS else None
+    parser = PARSERS.get(key)
+    if parser is None:
+        parser = PARSERS[key] = build_parser(key)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -9,7 +9,10 @@ transform.  Everything here is exact.
 Every D_n, D'_{n+1} and determinant polynomial P_n of a prefix comes from
 one O(M^2) pass (:func:`hankel_scan`): it closes each run of vanishing
 determinants by the gap formula and advances P_n by the block three-term
-recurrence, on integers over one denominator, reduced at every step.  One
+recurrence, on integers over one denominator, reduced at every step.  The
+pass is resumable (:class:`HankelScanner`): callers that build a sequence
+term by term, as the prescribed-determinant solvers do, feed one scanner
+instead of rescanning their growing prefix.  One
 fraction-free (Bareiss) elimination
 kernel, on rows cleared to integers, serves everything else: determinants
 and single minors (:func:`hankel_minor`), rank, solves, maximal minors, and
@@ -23,6 +26,7 @@ All statements about "all n" are certified only up to the prefix horizon
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
@@ -237,6 +241,13 @@ class ScanStep(NamedTuple):
     c_b: int
 
 
+def _p_coeffs(p_int, p_factor, n: int) -> tuple[Fraction, ...]:
+    if p_int is None:
+        raise ValueError("scan was run without polynomials")
+    factor = p_factor[n]
+    return tuple([Fraction(c * factor.numerator, factor.denominator) for c in p_int[n]])
+
+
 @dataclass(frozen=True)
 class HankelScan:
     """Every D_n (2n <= M), D'_{n+1} (2n+1 <= M) and optionally P_n (2n-1 <= M).
@@ -254,10 +265,171 @@ class HankelScan:
 
     def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
-        if self.p_int is None:
-            raise ValueError("scan was run without polynomials")
-        factor = self.p_factor[n]
-        return tuple(Fraction(c * factor.numerator, factor.denominator) for c in self.p_int[n])
+        return _p_coeffs(self.p_int, self.p_factor, n)
+
+
+class HankelScanner:
+    """The pass of :func:`hankel_scan`, resumable: :meth:`extend` takes more terms.
+
+    Its fields are those of :class:`HankelScan`, as lists that grow with the
+    prefix; :meth:`result` freezes them.  Resuming needs P_r and P_{r'} (r'
+    the full-degree index before r), whose modified moments L(x^j P) at the new
+    indices j come from their integer coefficients and the new terms; so a
+    scanner without polys takes all its terms in its first extend.
+    """
+
+    def __init__(self, polys: bool = False):
+        self.polys = polys
+        self.terms: list[Fraction] = []
+        self.d_values: list[Fraction] = []
+        self.d_prime_values: list[Fraction] = []
+        self.p_int: Optional[list[tuple[int, ...]]] = [(1,)] if polys else None
+        self.p_factor: Optional[list[Fraction]] = [Fraction(1)] if polys else None
+        self.steps: list[ScanStep] = []
+        self._ints: list[int] = []  # lambda s_0 .. lambda s_M
+        self._scale = 1  # lambda, the lcm of the term denominators
+        # The open block: full-degree index r, D_{r-1}, the search position j >= r;
+        # P_r = p_cur / q_cur with m_cur[j] = L(x^j p_cur) for j <= M - r, and
+        # P_{r'} = f_prev p_prev (the P_{r-1} = gamma P_{r'} of the last block) with
+        # m_prev[j] = L(x^j p_prev).  P_{-1} = 0.
+        self._r, self._j, self._d_prev = 0, 0, Fraction(1)
+        self._p_cur: list[int] = [1] if polys else []
+        self._m_cur: list[int] = []
+        self._q_cur = 1
+        self._p_prev: list[int] = []
+        self._m_prev: list[int] = []
+        self._f_prev = Fraction(1)
+
+    def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
+        """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
+        return _p_coeffs(self.p_int, self.p_factor, n)
+
+    def result(self) -> HankelScan:
+        """The scan of the terms so far, as :func:`hankel_scan` returns it."""
+        return HankelScan(
+            d_values=tuple(self.d_values),
+            d_prime_values=tuple(self.d_prime_values),
+            p_int=tuple(self.p_int) if self.polys else None,
+            p_factor=tuple(self.p_factor) if self.polys else None,
+            steps=tuple(self.steps),
+        )
+
+    def functional(self, coeffs: Sequence[int], shift: int) -> Fraction:
+        """L(x^shift p) = sum_e coeffs[e] s_{shift+e}, for integer coefficients, on integers."""
+        top = shift + len(coeffs) - 1
+        if top >= len(self.terms):
+            raise IndexOutOfRange(top, len(self.terms))
+        return Fraction(sum(map(operator.mul, coeffs, self._ints[shift : top + 1])), self._scale)
+
+    def extend(self, values: SequenceLike) -> "HankelScanner":
+        """Append terms and carry the pass as far as the longer prefix allows."""
+        new = as_moments(values).terms
+        first = not self.terms
+        if not (first or self.polys):
+            raise ValueError("a scan without polynomials takes all its terms in one extend")
+        self.terms += new
+        scale = math.lcm(self._scale, *(x.denominator for x in new))
+        if scale != self._scale:
+            self._ints = [x * (scale // self._scale) for x in self._ints]
+            self._scale = scale
+        self._ints += [x.numerator * (scale // x.denominator) for x in new]
+        m_top = len(self.terms) - 1
+        if first:  # M_0 = lambda s and P_0 = lambda, over lambda
+            self._m_cur, self._q_cur = list(self._ints), scale
+            self._p_cur = [scale] if self.polys else []
+            self._m_prev = [0] * len(self._ints)
+        else:
+            self._p_cur, self._m_cur, mu = self._moments(self._p_cur, self._m_cur, m_top - self._r)
+            self._q_cur *= mu
+            self._p_prev, self._m_prev, mu = self._moments(self._p_prev, self._m_prev, m_top - self._r)
+            self._f_prev /= mu
+        for out, size, fill in (
+            (self.d_values, m_top // 2 + 1, Fraction(0)),
+            (self.d_prime_values, (m_top + 1) // 2, Fraction(0)),
+            (self.p_int, (m_top + 1) // 2 + 1, ()),
+            (self.p_factor, (m_top + 1) // 2 + 1, Fraction(0)),
+        ):
+            if out is not None:
+                out += [fill] * (size - len(out))
+        self._run()
+        return self
+
+    def _moments(self, p: list[int], m: list[int], upto: int) -> tuple[list[int], list[int], int]:
+        """m continued to L(x^j p) for j <= upto, with p and m multiplied by the
+        least mu that keeps the new values integers: (p, m, mu)."""
+        ints = self._ints
+        sums = [sum(map(operator.mul, p, ints[j : j + len(p)])) for j in range(len(m), upto + 1)]
+        g = math.gcd(self._scale, *sums)  # the new values are sums / lambda
+        mu = self._scale // g
+        if mu > 1:
+            p, m = [x * mu for x in p], [x * mu for x in m]
+        return p, m + [x // g for x in sums], mu
+
+    def _run(self) -> None:
+        """The pass from the open block on; see :func:`hankel_scan`."""
+        m_top = len(self.terms) - 1
+        polys = self.polys
+        d_out, dp_out, p_out, f_out = self.d_values, self.d_prime_values, self.p_int, self.p_factor
+        r, j, d_prev = self._r, self._j, self._d_prev
+        p_cur, m_cur, q_cur = self._p_cur, self._m_cur, self._q_cur
+        p_prev, m_prev, f_prev = self._p_prev, self._m_prev, self._f_prev
+        while True:
+            if polys:
+                p_out[r], f_out[r] = tuple(p_cur), Fraction(1, q_cur)
+            while j <= m_top - r and m_cur[j] == 0:
+                j += 1
+            if j > m_top - r:
+                break  # the zero run reaches the horizon: every later D, D', P is 0 so far
+            gap = j - r
+            u_int = m_cur[j]
+            u = Fraction(u_int, q_cur)
+            n = r + gap  # the next nonzero determinant, D_{r+gap}
+            sign = -1 if (gap * (gap + 1) // 2) % 2 else 1
+            d_new = sign * u ** (gap + 1) / d_prev**gap if gap else u
+            if n < len(d_out):
+                d_out[n] = d_new
+            if r < len(dp_out):
+                dp_out[r] = Fraction(m_cur[r + 1], q_cur)  # D'_{r+1} = L(x^{r+1} P_r)
+            # P_n = gamma P_r: the same integers, their factor times gamma; P_{r-1} of the next block.
+            f_gamma = d_new / (u * q_cur) if gap else Fraction(1, q_cur)
+            if gap and n < len(dp_out):
+                dp_out[n] = f_gamma * m_cur[n + 1]
+            if polys and n < len(p_out):
+                p_out[n], f_out[n] = tuple(p_cur), f_gamma
+
+            r_next = n + 1
+            if 2 * r_next - 1 > m_top:
+                break  # the step needs s_{2 r_next - 1}
+            # Integer coefficients c (on x^i M_r) and c_b (on M_{r-1}) of the recurrence, over k.
+            ratio = d_new / d_prev  # a_{gap+1}
+            b = -ratio * u / d_prev * f_prev if r else Fraction(0)
+            (c_top, c_b), k = scale_to_integers([ratio / q_cur, b])
+            c = [0] * (gap + 1) + [c_top]
+            for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
+                acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
+                c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
+                c[gap - t] = -acc
+            h = math.gcd(k, c_b, *c)
+            c, c_b, k = [x // h for x in c], c_b // h, k // h
+            self.steps.append(ScanStep(r, r_next, tuple(c), c_b))
+
+            lo, hi = r_next, m_top - r_next
+            acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
+            for i, ci in enumerate(c):
+                if ci:
+                    acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
+            acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
+            for i, ci in enumerate(c):
+                if ci:
+                    for e, x in enumerate(p_cur):
+                        acc_p[i + e] += ci * x
+            g = math.gcd(k, *acc_m, *acc_p)  # what the integers share with the denominator
+            p_prev, m_prev, f_prev = p_cur, m_cur, f_gamma
+            p_cur, m_cur, q_cur = [x // g for x in acc_p], [0] * lo + [x // g for x in acc_m], k // g
+            r, j, d_prev = r_next, r_next, d_new
+        self._r, self._j, self._d_prev = r, j, d_prev
+        self._p_cur, self._m_cur, self._q_cur = p_cur, m_cur, q_cur
+        self._p_prev, self._m_prev, self._f_prev = p_prev, m_prev, f_prev
 
 
 def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
@@ -283,88 +455,15 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     divides k and the vectors by their gcd, so the integers stay as long as the
     values; as determinants of lambda*s they would carry lambda^k, out of all
     proportion when late terms have long denominators.  D, u, a, beta: Fractions.
+
+    This is one :meth:`HankelScanner.extend` with every term.  A scanner
+    given its terms in pieces stops where the prefix ends (inside a zero run,
+    or before a step whose coefficients need the next terms) and continues
+    from there: the m_r of its open block and of the one before it are
+    continued at the new indices as L(x^j P) from the integers of P, which
+    are first multiplied up where the new terms bring new denominators.
     """
-    terms = as_moments(s).terms
-    m_top = len(terms) - 1
-    m_cur, q_cur = scale_to_integers(terms)  # m_0 = s: lambda s over lambda
-    d_out = [Fraction(0)] * (m_top // 2 + 1)
-    dp_out = [Fraction(0)] * ((m_top + 1) // 2)
-    n_polys = (m_top + 1) // 2 + 1 if polys else 0
-    p_out: list[tuple[int, ...]] = [()] * n_polys
-    f_out = [Fraction(0)] * n_polys
-    if polys:
-        p_out[0], f_out[0] = (q_cur,), Fraction(1, q_cur)
-
-    r = 0
-    d_prev = Fraction(1)  # D_{r-1}, with D_{-1} = 1
-    m_prev, f_prev = [0] * (m_top + 2), Fraction(1)  # P_{-1} = 0
-    p_cur: list[int] = [q_cur] if polys else []  # P_0 = 1: lambda over lambda; no P without polys
-    p_prev: list[int] = []
-    steps: list[ScanStep] = []
-    while 2 * r <= m_top:
-        j = r
-        while j <= m_top - r and m_cur[j] == 0:
-            j += 1
-        if j > m_top - r:
-            break  # the zero run reaches the horizon: every later D, D', P is 0
-        gap = j - r
-        u_int = m_cur[j]
-        u = Fraction(u_int, q_cur)
-        n = r + gap  # the next nonzero determinant, D_{r+gap}
-        sign = -1 if (gap * (gap + 1) // 2) % 2 else 1
-        d_new = sign * u ** (gap + 1) / d_prev**gap if gap else u
-        if n < len(d_out):
-            d_out[n] = d_new
-        if r < len(dp_out):
-            dp_out[r] = Fraction(m_cur[r + 1], q_cur)  # D'_{r+1} = L(x^{r+1} P_r)
-        # P_n = gamma P_r: the same integers, their factor times gamma; P_{r-1} of the next block.
-        f_gamma = d_new / (u * q_cur) if gap else Fraction(1, q_cur)
-        if gap and n < len(dp_out):
-            dp_out[n] = f_gamma * m_cur[n + 1]
-        if n < n_polys:
-            p_out[n], f_out[n] = tuple(p_cur), f_gamma
-
-        r_next = n + 1
-        if 2 * r_next - 1 > m_top:
-            break
-        # Integer coefficients c (on x^i M_r) and c_b (on M_{r-1}) of the recurrence, over k.
-        ratio = d_new / d_prev  # a_{gap+1}
-        b = -ratio * u / d_prev * f_prev if r else Fraction(0)
-        (c_top, c_b), k = scale_to_integers([ratio / q_cur, b])
-        c = [0] * (gap + 1) + [c_top]
-        for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
-            acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
-            c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
-            c[gap - t] = -acc
-        h = math.gcd(k, c_b, *c)
-        c, c_b, k = [x // h for x in c], c_b // h, k // h
-        steps.append(ScanStep(r, r_next, tuple(c), c_b))
-
-        lo, hi = r_next, m_top - r_next
-        acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
-        for i, ci in enumerate(c):
-            if ci:
-                acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
-        acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
-        for i, ci in enumerate(c):
-            if ci:
-                for e, x in enumerate(p_cur):
-                    acc_p[i + e] += ci * x
-        g = math.gcd(k, *acc_m, *acc_p)  # what the integers share with the denominator
-        m_next, q_next = [0] * lo + [x // g for x in acc_m], k // g
-        p_prev, p_cur = p_cur, [x // g for x in acc_p]
-        if r_next < n_polys:
-            p_out[r_next], f_out[r_next] = tuple(p_cur), Fraction(1, q_next)
-        r, d_prev = r_next, d_new
-        m_prev, f_prev, m_cur, q_cur = m_cur, f_gamma, m_next, q_next
-
-    return HankelScan(
-        d_values=tuple(d_out),
-        d_prime_values=tuple(dp_out),
-        p_int=tuple(p_out) if polys else None,
-        p_factor=tuple(f_out) if polys else None,
-        steps=tuple(steps),
-    )
+    return HankelScanner(polys).extend(s).result()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Every domain error carries a machine-readable ``kind`` tag and a parameter
 mapping so front ends (notably the CLI) can serialize failures uniformly.
 ``exit_code`` follows the CLI convention: 3 for precondition violations,
-4 when a requested tolerance cannot be met at the configured precision.
+4 when a requested tolerance cannot be met at the configured precision
+(``PrecisionExhausted``, ``WeightMismatch``).
 """
 
 from __future__ import annotations
@@ -178,9 +179,14 @@ class RootCountMismatch(HankelError):
 
 
 class WeightMismatch(HankelError):
-    """The two weight formulas disagree beyond tolerance at a recovered atom."""
+    """The two weight formulas disagree beyond tolerance at a recovered atom.
+
+    It is raised only after the exact positive-flat check has passed, so the
+    formulas can disagree only through rounding: more bits may resolve it.
+    """
 
     kind = "weight_mismatch"
+    exit_code = 4
 
     def __init__(self, index: int, delta):
         super().__init__(

@@ -16,13 +16,15 @@ via a real g-th root (positive branch when g is even).  Entries the
 determinants do not constrain are filled by a policy: zeros, or seeded
 pseudorandom rationals.
 
-When every required root is rational the whole run is exact, and the
-extension's recurrence is read off P_{n_k+1} from `hankel_scan`; otherwise the
-construction restarts in big-float arithmetic at a configurable precision,
-solves for the recurrence with partial pivoting, and the
-recomputed-determinant certificate enforces the requested tolerance.  Either
-way a solution is verified before it is returned; the exact certificate
-recomputes every D_n by Bareiss elimination, independent of the scan.
+When every required root is rational the whole run is exact: one resumable
+scan (`core.HankelScanner`) takes each entry as the construction fixes it,
+and each step reads the extension's recurrence d_k = -p_{r,k}/D_{r-1} off its
+P_r, r = n_k + 1, once s_0..s_{2r-1} are in.  Otherwise the construction
+restarts in big-float arithmetic at a configurable precision, solves for the
+recurrence with partial pivoting, and the recomputed-determinant certificate
+enforces the requested tolerance.  Either way a solution is verified before
+it is returned; the exact certificate recomputes every D_n by Bareiss
+elimination, independent of the scan.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from typing import Iterator, Optional, Sequence, Union
 from mpmath import mp
 import mpmath
 
-from .approximants import ApproxRecurrence, _extension_values, recurrence_coeffs
-from .core import MomentSequence, fraction_free_det, hankel_matrix
+from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
+from .core import HankelScanner, MomentSequence, fraction_free_det, hankel_matrix
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -271,7 +273,11 @@ def _construct(
         def lift(fr: Fraction):
             return fr
 
-        recurrence = recurrence_coeffs
+        scanner = HankelScanner(polys=True)
+
+        def recurrence(values: list, r: int) -> ApproxRecurrence:
+            scanner.extend(values[len(scanner.terms) :])
+            return _recurrence_from_p(scanner.p_coeffs(r), r)
 
         def root(value, k: int):
             result = exact_kth_root(value, k)

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence, Union
 from mpmath import mp
 
 from .core import (
+    HankelScanner,
     MomentSequence,
     SequenceLike,
     as_moments,
@@ -426,7 +427,10 @@ def solve_prescribed(t: Sequence, t_prime: Sequence) -> MomentSequence:
     Expanding D_n and D'_{n+1} along their last rows gives
     s_{2n} t_{n-1} = t_n - sum_{j<n} p_{n,j} s_{n+j} and
     s_{2n+1} t_{n-1} = t'_n - sum_{j<n} p_{n,j} s_{n+1+j},
-    so each step needs one P_n and two dot products.
+    so each step needs one P_n and two dot products.  One resumable scan,
+    extended by (s_{2n}, s_{2n+1}) per step, holds every P_n as integers
+    p_{n,j} = f q_j, and the dot products run on them and the scan's
+    denominator-cleared terms.
     """
     targets = [parse_rational(v) for v in t]
     targets_prime = [parse_rational(v) for v in t_prime]
@@ -438,15 +442,13 @@ def solve_prescribed(t: Sequence, t_prime: Sequence) -> MomentSequence:
     if not targets:
         return MomentSequence(())
     s: list[Fraction] = [targets[0], targets_prime[0]]
+    scanner = HankelScanner(polys=True)
     for n in range(1, len(targets)):
-        p = poly_P(MomentSequence(tuple(s)), n).padded(n + 1)
-        lead = p[n]  # = D_{n-1} = t_{n-1}, nonzero by induction on the targets
-        acc_even = Fraction(0)
-        for jj in range(n):
-            acc_even += p[jj] * s[n + jj]
-        s.append((targets[n] - acc_even) / lead)
-        acc_odd = Fraction(0)
-        for jj in range(n):
-            acc_odd += p[jj] * s[n + 1 + jj]
-        s.append((targets_prime[n] - acc_odd) / lead)
+        scanner.extend(s[-2:])
+        q, f = scanner.p_int[n], scanner.p_factor[n]
+        lead = q[n]  # f q_n = D_{n-1} = t_{n-1}, nonzero by induction on the targets
+        even = (targets[n] / f - scanner.functional(q[:n], n)) / lead
+        # s_{2n} is not in the scan yet: its term of the second sum is added apart.
+        odd = (targets_prime[n] / f - scanner.functional(q[: n - 1], n + 1) - q[n - 1] * even) / lead
+        s += [even, odd]
     return MomentSequence(tuple(s))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .approximants import ApproxRecurrence, approx_sequence
+from .approximants import ApproxRecurrence, _recurrence_from_p, approx_sequence
 from .core import (
     DeterminantProfile,
     MomentSequence,
@@ -84,28 +84,24 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
     D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 holds for every in-prefix
     m >= 0, and r's defining data s_0..s_{2r-1} is in the prefix; otherwise
     RankAtLeast(r) with r the last nonvanishing-determinant index + 1.
+    The profile and P_r come from one scan with polynomials.
     """
     seq = as_moments(s)
-    if len(seq) == 0 or seq.is_zero():
-        profile = (
-            determinant_transform(seq)
-            if len(seq)
-            else DeterminantProfile((), (), 0)
-        )
+    if len(seq) == 0:
+        return RankCertificate("ZeroSequence", 0, 0, None, DeterminantProfile((), (), 0))
+    scan = hankel_scan(seq, polys=True)
+    profile = DeterminantProfile(scan.d_values, scan.d_prime_values, seq.horizon)
+    if seq.is_zero():
         return RankCertificate("ZeroSequence", 0, seq.horizon, None, profile)
-    profile = determinant_transform(seq)
     r_star = 0
     for n, value in enumerate(profile.d_values):
         if value != 0:
             r_star = n + 1
     if r_star == 0 or 2 * r_star - 1 > seq.max_index:
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    scan = hankel_scan(seq.prefix(2 * r_star), polys=True)
     if not recurrence_holds(seq, scan.p_int[r_star], r_star):
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    p = scan.p_coeffs(r_star)
-    lead = p[r_star]  # = D_{r_star - 1}
-    witness = ApproxRecurrence(r_star, tuple(-p[k] / lead for k in range(r_star)))
+    witness = _recurrence_from_p(scan.p_coeffs(r_star), r_star)
     return RankCertificate("FiniteRank", r_star, seq.horizon, witness, profile)
 
 

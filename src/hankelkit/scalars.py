@@ -9,6 +9,7 @@ extractions are carried as :class:`RealScalar`: an arbitrary-precision
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -29,6 +30,13 @@ DEFAULT_PRECISION_BITS = 256
 MAX_RATIONAL_DIGITS = 4300
 _DECIMAL = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*"
 
+# Quotes a rejected input in an error message.  It looks at no more than it
+# prints: a string's first characters and a list's first items, with the
+# lists inside those shown as [...].
+_QUOTE = reprlib.Repr()
+_QUOTE.maxstring = _QUOTE.maxother = 60
+_QUOTE.maxlevel = 1
+
 
 def _check_expanded_size(text: str) -> None:
     """Raise ParseError when a decimal or exponent string expands past MAX_RATIONAL_DIGITS.
@@ -44,7 +52,7 @@ def _check_expanded_size(text: str) -> None:
     try:
         shift = int(exponent or "0") - len(fraction)
     except ValueError as exc:
-        raise ParseError(f"not a rational: {text!r}") from exc
+        raise ParseError(f"not a rational: {_QUOTE.repr(text)}") from exc
     digits = max(len(whole) + len(fraction) + max(shift, 0), 1 + max(-shift, 0))
     if digits > MAX_RATIONAL_DIGITS:
         raise ParseError(f"rational expands past {MAX_RATIONAL_DIGITS} digits: {text[:40]!r}")
@@ -68,8 +76,8 @@ def parse_rational(value: RationalLike) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational: {value!r}") from exc
-    raise ParseError(f"not a rational: {value!r} (floats are not accepted; use strings)")
+            raise ParseError(f"not a rational: {_QUOTE.repr(value)}") from exc
+    raise ParseError(f"not a rational: {_QUOTE.repr(value)} (floats are not accepted; use strings)")
 
 
 def int_kth_root(n: int, k: int) -> tuple[int, bool]:

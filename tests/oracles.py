@@ -5,8 +5,9 @@ production code: determinants by memoized cofactor expansion (not
 elimination), polynomial coefficients straight from their determinant
 definitions, rank by plain Gaussian elimination with division, Sturm chains
 by Fraction polynomial division, measure weights and residual bounds through
-mpmath's high-level mp and iv contexts.  Slow but obviously correct at desk
-scale; the tests demand bit-exact agreement.
+mpmath's high-level mp and iv contexts, and the prescribed-determinant
+constructions by a fresh scan of the prefix at every step.  Slow but
+obviously correct at desk scale; the tests demand bit-exact agreement.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import Sequence
 
 from mpmath import iv, libmp, mp
 
-from hankelkit.approximants import BlockStep, StructureReport
+from hankelkit.approximants import BlockStep, StructureReport, _extension_values, recurrence_coeffs
 from hankelkit.core import hankel_det
 from hankelkit.polynomials import poly_P, poly_Q
+from hankelkit.scalars import exact_kth_root
 
 
 def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -329,6 +331,62 @@ def oracle_residual_bound(atoms, s: Sequence[Fraction], precision_bits: int) -> 
     finally:
         iv.prec = old_prec
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Constructions that rescan their growing prefix at every step
+# ---------------------------------------------------------------------------
+
+
+def oracle_solve_prescribed(t: Sequence[Fraction], t_prime: Sequence[Fraction]) -> list[Fraction]:
+    """s_0..s_{2N-1} with D_n = t_n and D'_{n+1} = t'_n: a fresh P_n of the
+    prefix so far at every step, and Fraction dot products."""
+    s = [Fraction(t[0]), Fraction(t_prime[0])]
+    for n in range(1, len(t)):
+        p = poly_P(s, n).padded(n + 1)
+        s.append((t[n] - sum(p[j] * s[n + j] for j in range(n))) / p[n])
+        s.append((t_prime[n] - sum(p[j] * s[n + 1 + j] for j in range(n))) / p[n])
+    return s
+
+
+def oracle_construct(targets: Sequence[Fraction], policy) -> list[Fraction] | None:
+    """The exact inductive construction of solve_inverse with one
+    recurrence_coeffs (a fresh scan of the prefix so far) per support step;
+    None when a root it needs is irrational.  The support must be nonempty."""
+    draws = policy.stream()
+    support = [n for n, value in enumerate(targets) if value != 0]
+    n_top = len(targets) - 1
+
+    def root(value: Fraction, k: int) -> Fraction:
+        result = exact_kth_root(value, k)
+        if result is None:
+            raise ArithmeticError("irrational root")
+        return result
+
+    try:
+        n0 = support[0]
+        sign = -1 if (n0 * (n0 + 1) // 2) % 2 else 1
+        s = [Fraction(0)] * n0 + [root(targets[n0] * sign, n0 + 1)]
+        s += [next(draws) for _ in range(n0 + 1, 2 * n0 + 1)]
+        for a, b in zip(support, support[1:]):
+            g = b - a
+            s.append(next(draws))
+            sigma = _extension_values(s, recurrence_coeffs(s, a + 1), 2 * b)
+            ratio = Fraction(targets[b]) / targets[a]
+            if g == 1:
+                s.append(sigma[2 * b] + ratio)
+            else:
+                s += sigma[2 * a + 2 : a + b + 1]
+                gap_sign = -1 if (g * (g - 1) // 2) % 2 else 1
+                s.append(sigma[a + b + 1] + root(ratio * gap_sign, g))
+                s += [next(draws) for _ in range(a + b + 2, 2 * b + 1)]
+    except ArithmeticError:
+        return None
+    last = support[-1]
+    if last < n_top:
+        s.append(next(draws))
+        s += _extension_values(s, recurrence_coeffs(s, last + 1), 2 * n_top)[2 * last + 2 :]
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 
 from hankelkit import cli
 from hankelkit.cli import COMMANDS, MAX_PRECISION_BITS, MAX_TERMS, build_parser, main
+from hankelkit.measures import moments_of_atoms
 
 
 def write_json(tmp_path, name, payload):
@@ -469,32 +471,94 @@ def differential_cases():
 
 
 class TestPerCommandParser:
-    """main builds a parser for the named command only; it must act as the full one."""
+    """main parses with a parser for the named command only, built on first use
+    and kept for the process; it must act as the full one."""
+
+    @staticmethod
+    def argv_with_inputs(tmp_path, argv):
+        moments = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]})
+        targets = write_json(tmp_path, "t.json", {"target": ["2", "1"]})
+        return [(targets if argv[0] == "solve" else moments) if a == "<input>" else a for a in argv]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # -h prints help and exits
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
 
     @pytest.mark.parametrize("argv", list(differential_cases()), ids=" ".join)
     def test_matches_the_full_parser(self, tmp_path, capsys, monkeypatch, argv):
-        moments = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]})
-        targets = write_json(tmp_path, "t.json", {"target": ["2", "1"]})
-        argv = [(targets if argv[0] == "solve" else moments) if a == "<input>" else a for a in argv]
+        argv = self.argv_with_inputs(tmp_path, argv)
+        used = {}
+        monkeypatch.setattr(cli, "PARSERS", used)
+        got = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "PARSERS", {})
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert got == self.outcome(capsys, argv)
+        (parser,) = used.values()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == ({argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS))
 
-        def outcome():
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # -h prints help and exits
-                code = exc.code
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
-        built = []
+    def test_kept_parsers_answer_every_call_alike(self, tmp_path, capsys, monkeypatch):
+        built = Counter()
 
         def spy(command=None):
-            built.append(build_parser(command))
-            return built[-1]
+            built[command] += 1
+            return build_parser(command)
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        got = outcome()
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-        assert got == outcome()
-        assert len(built) == 1
-        sub = next(a for a in built[0]._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == ({argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS))
+        monkeypatch.setattr(cli, "PARSERS", {})
+        cases = [self.argv_with_inputs(tmp_path, argv) for argv in differential_cases()]
+        for argv in cases:
+            head = argv[:1] if argv and argv[0] in COMMANDS else []
+            usage_error, help_request = head + ["--bogus"], head + ["-h"]
+            first = self.outcome(capsys, argv)
+            for other in (usage_error, help_request):
+                code, _, _ = self.outcome(capsys, other)
+                assert code in (0, 1)
+                assert self.outcome(capsys, argv) == first, argv
+        keys = {argv[0] if argv and argv[0] in COMMANDS else None for argv in cases}
+        assert built == {key: 1 for key in keys}
+
+
+# Atoms n/7 whose 64-bit weights differ by rounding alone; at 256 bits they agree.
+ROUNDING_ATOMS = [(Fraction(n, 7), Fraction(1, 2) if n == 22 else Fraction(1, 4))
+                  for n in (0, 3, 9, 13, 16, 18, 20, 21, 22, 23, 24)]
+
+
+class TestWeightMismatchExit:
+    def test_precision_exit_then_success_with_more_bits(self, tmp_path, capsys):
+        s = moments_of_atoms(ROUNDING_ATOMS, 2 * len(ROUNDING_ATOMS) + 1)
+        path = write_json(tmp_path, "s.json", s.to_json())
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", "64"])
+        assert (code, out) == (4, "")
+        assert json.loads(err)["kind"] == "weight_mismatch"
+        payload = run_ok(capsys, ["measure", path, "--precision-bits", "256"])
+        assert payload["r"] == len(ROUNDING_ATOMS)
+
+
+class TestRejectedEntryQuotedShort:
+    @pytest.mark.parametrize("argv, doc", [
+        (["det"], {"sequence": ["1", ["7"] * 100_000]}),
+        (["det"], {"sequence": ["1", "1" * 100_000]}),
+        (["solve"], {"target": ["1", "1" * 50_000]}),
+    ], ids=["det-nested-list", "det-long-digits", "solve-long-target"])
+    def test_parse_error_under_a_kilobyte(self, tmp_path, capsys, argv, doc):
+        code, out, err = run(capsys, argv + [write_json(tmp_path, "big.json", doc)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["kind"] == "parse_error"
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("entry, message", [
+        ("abc", "not a rational: 'abc'"),
+        (["2"], "not a rational: ['2'] (floats are not accepted; use strings)"),
+        (1.5, "not a rational: 1.5 (floats are not accepted; use strings)"),
+    ])
+    def test_short_entries_are_quoted_whole(self, tmp_path, capsys, entry, message):
+        path = write_json(tmp_path, "s.json", {"sequence": ["1", entry]})
+        code, _, err = run(capsys, ["det", path])
+        assert code == 2
+        assert json.loads(err)["error"] == message

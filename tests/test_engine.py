@@ -4,7 +4,9 @@ Every D_n, D'_{n+1} and P_n the scan returns is recomputed by Bareiss
 elimination (`fraction_free_det`, `bottom_row_minors`) and, for n <= 5, by
 cofactor expansion (`tests/oracles.py`).  The strategies plant the inputs
 where the gap machinery does real work: sparse entries that open zero runs,
-s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.  On the same
+s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.  A
+scanner fed the same prefixes in chunks, with new denominators arriving late,
+must match one scan of every prefix it has seen.  On the same
 strategies, `degree_profile`, which reads its report off the scan's block
 steps, must match monic division of Bareiss P_n (`oracle_degree_profile`).
 """
@@ -14,7 +16,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelkit import (
@@ -30,6 +32,7 @@ from hankelkit import (
     shifted_det,
 )
 from hankelkit.core import (
+    HankelScanner,
     MomentSequence,
     bottom_row_minors,
     fraction_free_det,
@@ -83,6 +86,28 @@ def long_late_denominators(draw):
         min_size=1, max_size=3,
     ))
     return head + [F(num, 2**a * 3**b) for num, a, b in tail]
+
+
+@st.composite
+def planted_gap(draw):
+    """1, then d >= 1 zeros (the rank-1 extension of 1, 0), closed by a nonzero entry."""
+    zeros = draw(st.integers(1, 8))
+    closing = draw(small.filter(bool))
+    return [F(1)] + [F(0)] * zeros + [closing] + draw(st.lists(small, max_size=8))
+
+
+@st.composite
+def chunked(draw):
+    """A prefix from any strategy above, cut into one to five chunks; some later
+    entries get new denominators 2^a 3^b, so a resumed scan has to multiply its
+    integers up, and cuts fall inside zero runs wherever the prefix has them."""
+    s = draw(st.one_of(generic, signs, rare_ones, zero_start, finite_rank(), mid_gap(), planted_gap()))
+    if s and draw(st.booleans()):
+        for at in draw(st.lists(st.integers(len(s) // 2, len(s) - 1), max_size=3)):
+            if s[at]:
+                s[at] = s[at] / (2 ** draw(st.integers(0, 60)) * 3 ** draw(st.integers(0, 40)))
+    cuts = sorted(draw(st.lists(st.integers(1, max(len(s) - 1, 1)), max_size=4)))
+    return s, cuts
 
 
 def bareiss_p(s, n):
@@ -196,6 +221,36 @@ class TestScanMatchesElimination:
     def test_polynomials_need_polys(self):
         with pytest.raises(ValueError):
             hankel_scan([1, 2, 3]).p_coeffs(1)
+
+
+class TestResumedScan:
+    """A scanner fed in chunks against one scan of each prefix it has seen."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunked())
+    @example(([F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)], list(range(1, 12))))  # one term at a time
+    def test_chunks_give_the_one_shot_scan(self, case):
+        s, cuts = case
+        scanner = HankelScanner(polys=True)
+        for lo, hi in zip([0] + cuts, cuts + [len(s)]):
+            scanner.extend(s[lo:hi])
+            got, want = scanner.result(), hankel_scan(s[:hi], polys=True)
+            assert got.d_values == want.d_values, (s, cuts, hi)
+            assert got.d_prime_values == want.d_prime_values, (s, cuts, hi)
+            assert len(got.p_int) == len(want.p_int)
+            for n in range(len(want.p_int)):
+                assert got.p_coeffs(n) == want.p_coeffs(n), (s, cuts, hi, n)
+
+    def test_functional_on_integers(self):
+        scanner = HankelScanner(polys=True).extend([F(1, 2), F(1, 3), F(1, 4)])
+        assert scanner.functional([6, -1], 1) == 6 * F(1, 3) - F(1, 4)
+        with pytest.raises(IndexOutOfRange):
+            scanner.functional([1, 1], 2)
+
+    def test_a_scan_without_polynomials_takes_one_extend(self):
+        scanner = HankelScanner().extend([1, 2, 3])
+        with pytest.raises(ValueError):
+            scanner.extend([4])
 
 
 def check_degree_profile(s):

@@ -19,7 +19,7 @@ from hankelkit import (
     solve_inverse,
 )
 
-from oracles import random_sequence
+from oracles import oracle_construct, random_fraction, random_sequence
 
 
 def random_targets(rng, n_top):
@@ -169,6 +169,29 @@ class TestSolveInverseExact:
                 assert sol.max_residual < mp.mpf("1e-30")
             solved += 1
         assert solved >= 15
+
+    def test_exact_solutions_match_per_step_rescans(self):
+        # Targets with random support, and realized profiles of sparse sequences,
+        # whose gap roots are rational more often.
+        rng = random.Random(4005)
+        compared = 0
+        for trial in range(120):
+            if trial % 2:
+                t = random_targets(rng, rng.randint(1, 6))
+            else:
+                s = [random_fraction(rng, 3, 2) if rng.random() < 0.5 else F(0) for _ in range(2 * rng.randint(1, 5) + 1)]
+                t = list(determinant_transform(s).d_values)
+            if not any(t) or not frobenius_check(t).solvable:
+                continue
+            for policy in (ZEROS, FreePolicy("seed", rng.randrange(2**64))):
+                expected = oracle_construct(t, policy)
+                if expected is None:
+                    continue  # an irrational root: both go to the big-float construction
+                sol = solve_inverse(t, free_policy=policy)
+                assert sol.mode == "exact"
+                assert list(sol.terms) == expected, (t, policy)
+                compared += 1
+        assert compared >= 60
 
     def test_solution_length(self):
         for t in ([1], [1, 2, 3], [0, -1, 0, 5]):

@@ -18,6 +18,7 @@ from hankelkit import (
     NotQuasiDefinite,
     Polynomial,
     RootCountMismatch,
+    WeightMismatch,
     ZeroSequence,
     cauchy_bound,
     cd_identity_residual,
@@ -469,10 +470,21 @@ class TestAgainstMpmathContexts:
     @settings(max_examples=40, deadline=None)
     @given(rational_measures, st.sampled_from([64, 256, 1024]))
     @example([(F(n, 7), F(5 + n % 5, 1 + n % 4)) for n in range(-55, 60, 10)], 1024)
+    # The two weight formulas differ by rounding alone at 64 bits (delta 2.45e-10).
+    @example([(F(n, 7), F(1, 2) if n == 22 else F(1, 4)) for n in (0, 3, 9, 13, 16, 18, 20, 21, 22, 23, 24)], 64)
     def test_locations_weights_and_residual_bits(self, atoms, bits):
         r = len(atoms)
         s = moments_of_atoms(atoms, 2 * r + 1)
-        measure = recover_measure(s, bits)
+        try:
+            measure = recover_measure(s, bits)
+        except WeightMismatch as exc:
+            # Refused at this precision: the oracle's two formulas must miss the same bound.
+            enclosures = isolate_real_roots(poly_P(s, r), bits)
+            _, weight, weight_cd = oracle_measure_floats(s.terms, enclosures, bits)[exc.index]
+            with mp.workprec(bits):
+                w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
+                assert abs(w - w_cd) > mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
+            return
         assert measure.r == r
         expected = oracle_measure_floats(s.terms, [atom.enclosure for atom in measure.atoms], bits)
         for atom, (location, weight, weight_cd) in zip(measure.atoms, expected):

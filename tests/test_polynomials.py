@@ -30,7 +30,7 @@ from hankelkit import (
 )
 from hankelkit.polynomials import ONE, X, ZERO
 
-from oracles import oracle_poly_coeffs, oracle_q_coeffs, random_sequence
+from oracles import oracle_poly_coeffs, oracle_q_coeffs, oracle_solve_prescribed, random_sequence
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 poly_st = st.builds(Polynomial, st.lists(fractions_st, max_size=6))
@@ -336,3 +336,24 @@ class TestSolvePrescribed:
             profile = determinant_transform(seq)
             assert list(profile.d_values) == t
             assert list(profile.d_prime_values) == t_prime
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9),
+            st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+        ),
+        min_size=1,
+        max_size=14,
+    ))
+    def test_matches_per_step_rescans_on_jacobi_pairs(self, pairs):
+        # moments_from_jacobi feeds solve_prescribed; the oracle runs a fresh P_n per step.
+        j = JacobiCoeffs(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+        t, t_prime, det, b_product, a_sum = [], [], F(1), F(1), F(0)
+        for a, b in pairs:
+            b_product *= b
+            det *= b_product
+            a_sum += a
+            t.append(det)
+            t_prime.append(a_sum * det)
+        assert list(moments_from_jacobi(j).terms) == oracle_solve_prescribed(t, t_prime)
