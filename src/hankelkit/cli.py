@@ -55,7 +55,7 @@ from .inverse import (
 from .measures import recover_measure, verify_moments
 from .polynomials import JacobiCoeffs, jacobi_from_moments, moments_from_jacobi, p_family, second_kind
 from .rank import hankel_rank
-from .scalars import MIN_PRECISION_BITS
+from .scalars import MAX_RATIONAL_DIGITS, MIN_PRECISION_BITS
 
 MEASURE_TOLERANCE = "1e-20"
 # Recovering a rank-12 measure takes seconds at 2^16 bits, and the cost grows
@@ -170,6 +170,8 @@ def _load_json(path: str):
         raise ParseError(f"input is not UTF-8: {exc}") from None
     except RecursionError:
         raise ParseError("malformed JSON: nested too deeply") from None
+    except ValueError:  # json reads an unquoted integer with int(), which has a digit limit
+        raise ParseError(f"malformed JSON: a number has over {MAX_RATIONAL_DIGITS} digits") from None
     for key, value in doc.items() if isinstance(doc, dict) else ():
         if isinstance(value, list) and len(value) > MAX_TERMS:
             raise ParseError(f'"{key}" has {len(value)} entries; at most {MAX_TERMS} are allowed')

@@ -20,11 +20,15 @@ When every required root is rational the whole run is exact: one resumable
 scan (`core.HankelScanner`) takes each entry as the construction fixes it,
 and each step reads the extension's recurrence d_k = -p_{r,k}/D_{r-1} off its
 P_r, r = n_k + 1, once s_0..s_{2r-1} are in.  Otherwise the construction
-restarts in big-float arithmetic at a configurable precision, solves for the
-recurrence with partial pivoting, and the recomputed-determinant certificate
-enforces the requested tolerance.  Either way a solution is verified before
-it is returned; the exact certificate recomputes every D_n by Bareiss
-elimination, independent of the scan.
+restarts in big-float arithmetic at a configurable precision and solves for
+the recurrence with partial pivoting.  Either way one certificate checks a
+solution before it is returned: it recomputes every D_n by Bareiss
+elimination, independent of the scan and the gap formulas, on exact
+rationals.  In exact mode these are the terms themselves, and every D_n must
+equal t_n.  In big-float mode they are the decimals the solution prints as,
+read back exactly, so the certified residual max |D_n - t_n| / max(1, |t_n|)
+is the exact residual of the printed solution, rounded up; it must not
+exceed the requested tolerance.
 """
 
 from __future__ import annotations
@@ -32,18 +36,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from mpmath import mp
-import mpmath
+from mpmath.libmp import from_rational, round_ceiling
 
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
 from .core import HankelScanner, MomentSequence, fraction_free_det, hankel_matrix
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    _QUOTE,
     exact_kth_root,
+    format_mpf,
     format_rational,
     parse_rational,
     real_kth_root,
@@ -197,11 +204,11 @@ class FreePolicy:
             try:
                 seed = int(text[len("seed:") :])
             except ValueError:
-                raise ParseError(f"invalid seed in policy {text!r}") from None
+                raise ParseError(f"invalid seed in policy {_QUOTE.repr(text)}") from None
             if not 0 <= seed < 2**64:
                 raise ParseError("policy seed must be an unsigned 64-bit integer")
             return FreePolicy("seed", seed)
-        raise ParseError(f"unknown policy {text!r}; expected zeros or seed:<u64>")
+        raise ParseError(f"unknown policy {_QUOTE.repr(text)}; expected zeros or seed:<u64>")
 
 
 ZEROS = FreePolicy("zeros")
@@ -216,13 +223,23 @@ class _IrrationalRoot(Exception):
     """Internal: an exact-mode root does not exist in the rationals."""
 
 
+def _residual_text(value) -> str:
+    """A residual to 10 digits.  It is rounded to 53 bits first: mp.nstr of a
+    tiny value with a mantissa over about 14,000 bits converts an integer past
+    Python's int-string limit and raises."""
+    return mp.nstr(mp.mpf(value, prec=53), 10)
+
+
 @dataclass(frozen=True)
 class InverseSolution:
     """A verified solution of the prescribed-determinant problem.
 
-    terms holds Fractions in exact mode and mpmath floats in bigfloat mode;
-    certificate holds the recomputed D_0..D_N and max_residual the largest
-    |D_n - t_n| / max(1, |t_n|).
+    terms holds Fractions in exact mode and mpmath floats in bigfloat mode.
+    certificate holds D_0..D_N recomputed exactly from the solution as
+    to_json prints it (the terms themselves in exact mode, their printed
+    decimals in bigfloat mode), and max_residual bounds the largest
+    |D_n - t_n| / max(1, |t_n|) of those D_n: it is 0 in exact mode, and in
+    bigfloat mode that exact value rounded up at precision_bits.
     """
 
     terms: tuple
@@ -245,11 +262,10 @@ class InverseSolution:
                 "max_residual": "0",
             }
         else:
-            digits = mpmath.libmp.prec_to_dps(self.precision_bits)
             payload = {
-                "solution": [mp.nstr(v, digits) for v in self.terms],
+                "solution": [format_mpf(v, self.precision_bits) for v in self.terms],
                 "mode": "bigfloat",
-                "max_residual": mp.nstr(self.max_residual, 10),
+                "max_residual": _residual_text(self.max_residual),
                 "precision_bits": self.precision_bits,
             }
         return payload
@@ -265,6 +281,8 @@ def _construct(
     """
     support = targets.support
     n_top = len(targets) - 1
+    if not support:  # the all-zero target: the zero sequence
+        return [Fraction(0)] * max(2 * n_top + 1, 0)
     draws = policy.stream()
 
     if exact:
@@ -338,62 +356,16 @@ def _construct(
     return s
 
 
-def _verify_exact(terms: list, targets: TargetSequence) -> tuple:
-    """Recompute every D_n by Bareiss elimination, independent of the gap
-    formulas the construction (and ``hankel_det``) rely on."""
+def _certify(terms: Sequence[Fraction], targets: TargetSequence) -> tuple[tuple, Fraction]:
+    """Every D_n of the terms, by Bareiss elimination, and the exact largest
+    |D_n - t_n| / max(1, |t_n|).  Bareiss is independent of the gap formulas
+    the construction (and ``hankel_det``) rely on."""
     seq = MomentSequence(tuple(terms))
-    recomputed = tuple(
-        fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets))
+    dets = tuple(fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets)))
+    residual = max(
+        (abs(d - t) / max(1, abs(t)) for d, t in zip(dets, targets.terms)), default=Fraction(0)
     )
-    for n, value in enumerate(recomputed):
-        if value != targets[n]:
-            raise RuntimeError(
-                f"internal error: exact construction gives D_{n} = {value}, "
-                f"target {targets[n]}"
-            )
-    return recomputed
-
-
-def _det_mpf(rows: list) -> mp.mpf:
-    """Determinant by partial-pivot elimination.
-
-    Unlike mp.det, a pivot column that is exactly zero yields an exact zero
-    determinant instead of an internal error (Hankel matrices of sequences
-    with leading zeros are exactly singular in this way).
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    det = mp.mpf(1)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda k: abs(a[k][col]))
-        if a[pivot_row][col] == 0:
-            return mp.mpf(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        det *= a[col][col]
-        for k in range(col + 1, n):
-            factor = a[k][col] / a[col][col]
-            for j in range(col + 1, n):
-                a[k][j] -= factor * a[col][j]
-    return det
-
-
-def _verify_bigfloat(terms: list, targets: TargetSequence, bits: int):
-    with mp.workprec(bits):
-        recomputed = []
-        worst = mp.mpf(0)
-        for n in range(len(targets)):
-            value = _det_mpf(
-                [[terms[i + j] for j in range(n + 1)] for i in range(n + 1)]
-            )
-            recomputed.append(value)
-            target = to_mpf(targets[n], bits)
-            scale = max(mp.mpf(1), abs(target))
-            residual = abs(value - target) / scale
-            if residual > worst:
-                worst = residual
-        return tuple(recomputed), worst
+    return dets, residual
 
 
 def solve_inverse(
@@ -406,46 +378,37 @@ def solve_inverse(
 
     Exact mode is used when every real root the construction needs is
     rational; otherwise the whole construction reruns in big-float arithmetic
-    (same policy draws) and the verified certificate must meet tol.
+    (same policy draws), and the certified residual of the printed solution,
+    rounded up, must not exceed tol rounded down: else PrecisionExhausted.
     Raises NotSolvable when the sign conditions fail.
     """
     targets = as_targets(t)
     report = frobenius_check(targets)
     if not report.solvable:
         raise NotSolvable(report)
-    n_top = len(targets) - 1
-    if not targets.support:
-        terms = tuple(Fraction(0) for _ in range(2 * n_top + 1)) if n_top >= 0 else ()
-        return InverseSolution(
-            terms=terms,
-            mode="exact",
-            precision_bits=None,
-            certificate=tuple(Fraction(0) for _ in range(len(targets))),
-            max_residual=Fraction(0),
-        )
+    bits = None
     try:
         terms = _construct(targets, free_policy, exact=True, bits=precision_bits, tol=tol)
     except _IrrationalRoot:
-        with mp.workprec(precision_bits):
-            terms = _construct(targets, free_policy, exact=False, bits=precision_bits, tol=tol)
-        certificate, worst = _verify_bigfloat(terms, targets, precision_bits)
-        with mp.workprec(precision_bits):
-            if worst > mp.mpf(tol):
-                raise PrecisionExhausted(
-                    precision_bits, mp.nstr(worst, 10), tol
-                ) from None
-        return InverseSolution(
-            terms=tuple(terms),
-            mode="bigfloat",
-            precision_bits=precision_bits,
-            certificate=certificate,
-            max_residual=worst,
-        )
-    certificate = _verify_exact(terms, targets)
-    return InverseSolution(
-        terms=tuple(terms),
-        mode="exact",
-        precision_bits=None,
-        certificate=certificate,
-        max_residual=Fraction(0),
-    )
+        bits = precision_bits
+        with mp.workprec(bits):
+            terms = _construct(targets, free_policy, exact=False, bits=bits, tol=tol)
+    # The certificate reads the solution as to_json prints it: big floats as
+    # their decimals, read back exactly (Decimal, unlike parse_rational, takes
+    # any number of digits).
+    printed = terms if bits is None else [Fraction(Decimal(format_mpf(v, bits))) for v in terms]
+    certificate, residual = _certify(printed, targets)
+    if bits is None:
+        if residual:
+            n = next(n for n, d in enumerate(certificate) if d != targets[n])
+            raise RuntimeError(
+                f"internal error: exact construction gives D_{n} = "
+                f"{format_rational(certificate[n])}, target {format_rational(targets[n])}"
+            )
+        worst = residual
+    else:
+        worst = mp.make_mpf(from_rational(residual.numerator, residual.denominator, bits, round_ceiling))
+        if worst > mp.mpf(tol, prec=bits, rounding="d"):
+            raise PrecisionExhausted(bits, _residual_text(worst), tol)
+    mode = "exact" if bits is None else "bigfloat"
+    return InverseSolution(tuple(terms), mode, bits, certificate, worst)

@@ -461,7 +461,6 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
 def verify_moments(
     measure: DiscreteMeasure,
     s: SequenceLike,
-    tol: Optional[str] = None,
     precision_bits: Optional[int] = None,
 ) -> RealScalar:
     """Upper bound on max_n |sum_k mu_k lambda_k^n - s_n| over the prefix.
@@ -471,10 +470,8 @@ def verify_moments(
     rounded outward, and every sum, product and absolute value rounds its
     lower end down and its upper end up.  The result is the largest upper
     end, returned as computed (never rounded again), so it is a certified
-    bound, not an estimate.  The tol argument is advisory only (this function
-    always returns the residual; callers compare).
+    bound, not an estimate; callers compare it with their tolerance.
     """
-    del tol  # semantic comparison is the caller's job
     seq = as_moments(s)
     if precision_bits is None:
         precision_bits = max(

@@ -138,6 +138,11 @@ def real_kth_root(value: mpmath.mpf, k: int, precision_bits: int) -> mpmath.mpf:
         return +mp.root(value, k)
 
 
+def format_mpf(value: mpmath.mpf, precision_bits: int) -> str:
+    """The decimal text a big-float value prints as: the digits precision_bits carries."""
+    return mp.nstr(value, mpmath.libmp.prec_to_dps(precision_bits))
+
+
 @dataclass(frozen=True)
 class RealScalar:
     """An arbitrary-precision float together with the precision it carries."""
@@ -150,8 +155,7 @@ class RealScalar:
             raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
 
     def to_str(self) -> str:
-        dps = mpmath.libmp.prec_to_dps(self.precision_bits)
-        return mpmath.nstr(self.value, dps)
+        return format_mpf(self.value, self.precision_bits)
 
     def __str__(self) -> str:
         return self.to_str()

@@ -187,6 +187,16 @@ class TestSolve:
         assert payload["mode"] == "bigfloat"
         assert payload["precision_bits"] == 256
 
+    def test_construct_bigfloat_past_the_int_string_limit(self, tmp_path, capsys):
+        # At 16384 bits s_1 = sqrt(3) prints with 4931 digits, and the certified
+        # residual of the printed solution is about 1e-4931: both pass Python's
+        # 4300-digit int-string limit on their way into and out of the certificate.
+        path = write_json(tmp_path, "t.json", {"target": ["0", "-3", "0"]})
+        payload = run_ok(capsys, ["solve", path, "--construct", "--precision-bits", "16384"])
+        assert payload["mode"] == "bigfloat"
+        assert len(payload["solution"][1]) > 4300
+        assert 0 < Fraction(payload["max_residual"]) < Fraction(1, 10**4900)
+
     def test_policy_flag_overrides_file(self, tmp_path, capsys):
         path = write_json(
             tmp_path, "t.json", {"target": ["2", "1"], "policy": "seed:1"}
@@ -391,6 +401,15 @@ class TestUsageAndParsing:
         assert (code, out) == (2, "")
         assert json.loads(err)["kind"] == "parse_error"
 
+    def test_unquoted_integer_past_the_digit_limit_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"sequence": [1, ' + "7" * 5000 + "]}")
+        code, out, err = run(capsys, ["det", str(path)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["kind"] == "parse_error"
+        assert error["error"] == "malformed JSON: a number has over 4300 digits"
+
     def test_wrong_shape(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"values": ["1"]})
         code, _, err = run(capsys, ["det", path])
@@ -550,6 +569,22 @@ class TestRejectedEntryQuotedShort:
         code, out, err = run(capsys, argv + [write_json(tmp_path, "big.json", doc)])
         assert (code, out) == (2, "")
         assert json.loads(err)["kind"] == "parse_error"
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("policy", ["x" * 50_000, "seed:" + "x" * 50_000])
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_long_policy_under_a_kilobyte(self, tmp_path, capsys, policy, where):
+        doc = {"target": ["2", "1"]}
+        argv = ["solve", "--construct"]
+        if where == "file":
+            doc["policy"] = policy
+        else:
+            argv += ["--policy", policy]
+        code, out, err = run(capsys, argv + [write_json(tmp_path, "t.json", doc)])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["kind"] == "parse_error"
+        assert "policy 'seed:xxx" in error["error"] or "policy 'xxx" in error["error"]
         assert len(err.encode()) < 1024
 
     @pytest.mark.parametrize("entry, message", [

@@ -1,5 +1,6 @@
 """Solvability conditions and the constructive prescribed-determinant solver."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -19,7 +20,8 @@ from hankelkit import (
     solve_inverse,
 )
 
-from oracles import oracle_construct, random_fraction, random_sequence
+from hankelkit import inverse
+from oracles import oracle_construct, oracle_hankel_det, random_fraction, random_sequence
 
 
 def random_targets(rng, n_top):
@@ -234,8 +236,9 @@ class TestSolveInverseBigfloat:
         assert err.value.exit_code == 4
 
     def test_leading_zero_targets_in_bigfloat_mode(self):
-        # Initial block (0, 0, cbrt(2)): the verification determinants have
-        # exactly-zero pivot columns, which must give D_n = 0, not an error.
+        # Initial block (0, 0, cbrt(2)): the certificate's determinants of the
+        # printed solution are exact, so D_0 and D_1, whose matrices have an
+        # all-zero first row, come out exactly 0.
         sol = solve_inverse([0, 0, 2], precision_bits=256)
         assert sol.mode == "bigfloat"
         assert sol.certificate[0] == 0
@@ -262,6 +265,66 @@ class TestSolveInverseBigfloat:
         assert payload["mode"] == "bigfloat"
         assert payload["precision_bits"] == 256
         assert len(payload["solution"]) == 5
+
+
+def exact_mpf(value) -> F:
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
+class TestCertificate:
+    """The certificate proves what to_json prints, in both modes."""
+
+    def test_max_residual_bounds_the_printed_solution(self):
+        rng = random.Random(4006)
+        fixed = [([0, 0, 2], 256), ([0, -3, 0], 256), ([1, 0, -2], 128)]
+        random_cases = (
+            (random_targets(rng, rng.randint(1, 5)), rng.choice([128, 256, 512]))
+            for _ in range(200)
+        )
+        checked = 0
+        for t, bits in itertools.chain(fixed, random_cases):
+            if not any(t) or not frobenius_check(t).solvable:
+                continue
+            try:
+                sol = solve_inverse(t, free_policy=FreePolicy("seed", 4006), precision_bits=bits)
+            except PrecisionExhausted:
+                continue
+            if sol.mode != "bigfloat":
+                continue
+            printed = [F(v) for v in sol.to_json()["solution"]]
+            dets = tuple(oracle_hankel_det(printed, n) for n in range(len(t)))
+            assert sol.certificate == dets
+            exact = max(abs(d - F(v)) / max(1, abs(F(v))) for d, v in zip(dets, t))
+            bound = exact_mpf(sol.max_residual)
+            assert exact <= bound
+            _, man, exp, bc = sol.max_residual._mpf_
+            if man:
+                assert bound - exact < F(2) ** (exp + bc - bits), (t, bits)  # one ulp
+            else:
+                assert exact == 0
+            checked += 1
+        assert checked >= 40, checked
+
+    @pytest.fixture
+    def perturb_first_term(self, monkeypatch):
+        construct = inverse._construct
+
+        def perturbed(targets, policy, exact, bits, tol):
+            terms = construct(targets, policy, exact, bits, tol)
+            terms[0] += F(1, 10**20) if exact else mp.mpf("1e-20")
+            return terms
+
+        monkeypatch.setattr(inverse, "_construct", perturbed)
+
+    def test_perturbed_exact_solution_is_an_internal_error(self, perturb_first_term):
+        with pytest.raises(RuntimeError, match="internal error"):
+            solve_inverse([2, 1])
+
+    def test_perturbed_bigfloat_solution_is_refused(self, perturb_first_term):
+        with pytest.raises(PrecisionExhausted) as err:
+            solve_inverse([1, 0, -2])
+        assert err.value.exit_code == 4
 
 
 class TestFreePolicy:

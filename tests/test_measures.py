@@ -447,13 +447,6 @@ class TestVerifyMoments:
             assert bound.precision_bits == 256
             assert exact(bound.value) >= 1 - exact(weight.value)
 
-    def test_tol_argument_is_advisory(self):
-        s = moments_of_atoms([("1", "2")], 4)
-        measure = recover_measure(s, 128)
-        loose = verify_moments(measure, s, tol="1e-1")
-        tight = verify_moments(measure, s, tol="1e-40")
-        assert loose.value == tight.value
-
 
 # r distinct atoms n/7 in [-60/7, 60/7] with weights b/c, c <= 4, r = 1..12.
 rational_measures = st.lists(
