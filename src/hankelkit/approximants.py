@@ -264,7 +264,7 @@ def degree_profile(s: SequenceLike) -> StructureReport:
     n_max = len(seq) // 2
     scan = hankel_scan(seq.prefix(2 * n_max), polys=True)
     p_int, p_factor = scan.p_int, scan.p_factor
-    full = tuple(n for n in range(n_max + 1) if len(p_int[n]) == n + 1)
+    full = tuple([n for n in range(n_max + 1) if len(p_int[n]) == n + 1])
     runs = (list(g) for is_zero, g in groupby(range(n_max + 1), key=lambda n: not p_int[n]) if is_zero)
     zero_blocks = [(run[0], run[-1]) for run in runs]
     gammas = [

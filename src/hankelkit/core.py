@@ -45,7 +45,7 @@ class MomentSequence:
 
     @classmethod
     def from_values(cls, values: Iterable) -> "MomentSequence":
-        return cls(tuple(parse_rational(v) for v in values))
+        return cls(tuple([parse_rational(v) for v in values]))
 
     @classmethod
     def from_json(cls, doc) -> "MomentSequence":
@@ -115,7 +115,7 @@ class DeterminantProfile:
 
 def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Scale rationals to integers by the lcm of their denominators; return (integers, lcm)."""
-    scale = math.lcm(*(x.denominator for x in values))
+    scale = math.lcm(*[x.denominator for x in values])
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
@@ -328,7 +328,7 @@ class HankelScanner:
         if not (first or self.polys):
             raise ValueError("a scan without polynomials takes all its terms in one extend")
         self.terms += new
-        scale = math.lcm(self._scale, *(x.denominator for x in new))
+        scale = math.lcm(self._scale, *[x.denominator for x in new])
         if scale != self._scale:
             self._ints = [x * (scale // self._scale) for x in self._ints]
             self._scale = scale
@@ -375,35 +375,50 @@ class HankelScanner:
         p_prev, m_prev, f_prev = self._p_prev, self._m_prev, self._f_prev
         while True:
             if polys:
-                p_out[r], f_out[r] = tuple(p_cur), Fraction(1, q_cur)
+                p_tuple = tuple(p_cur)
+                p_out[r], f_out[r] = p_tuple, Fraction(1, q_cur)
             while j <= m_top - r and m_cur[j] == 0:
                 j += 1
             if j > m_top - r:
                 break  # the zero run reaches the horizon: every later D, D', P is 0 so far
             gap = j - r
-            u_int = m_cur[j]
-            u = Fraction(u_int, q_cur)
+            u_int = m_cur[j]  # u = u_int / q_cur
             n = r + gap  # the next nonzero determinant, D_{r+gap}
-            sign = -1 if (gap * (gap + 1) // 2) % 2 else 1
-            d_new = sign * u ** (gap + 1) / d_prev**gap if gap else u
-            if n < len(d_out):
-                d_out[n] = d_new
             if r < len(dp_out):
                 dp_out[r] = Fraction(m_cur[r + 1], q_cur)  # D'_{r+1} = L(x^{r+1} P_r)
-            # P_n = gamma P_r: the same integers, their factor times gamma; P_{r-1} of the next block.
-            f_gamma = d_new / (u * q_cur) if gap else Fraction(1, q_cur)
-            if gap and n < len(dp_out):
-                dp_out[n] = f_gamma * m_cur[n + 1]
-            if polys and n < len(p_out):
-                p_out[n], f_out[n] = tuple(p_cur), f_gamma
+            # D_{r-1} = dn / dd, P_{r'} = (fn / fd) p_prev.
+            dn, dd = d_prev.numerator, d_prev.denominator
+            fn, fd = f_prev.numerator, f_prev.denominator
+            sigma = -1 if (gap * (gap + 1) // 2) % 2 else 1
+            u_g, dd_g, q_g1, dn_g = u_int**gap, dd**gap, q_cur ** (gap + 1), dn**gap
+            u_g1 = u_g * u_int
+            if gap:
+                # D_n = sigma u^{gap+1} / D_{r-1}^gap; P_n = gamma P_r with gamma = D_n / u,
+                # the same integers with factor gamma / q_cur; P_{r-1} of the next block.
+                d_new = Fraction(sigma * u_g1 * dd_g, q_g1 * dn_g)
+                f_gamma = Fraction(sigma * u_g * dd_g, q_g1 * dn_g)
+                if n < len(dp_out):
+                    dp_out[n] = Fraction(sigma * u_g * dd_g * m_cur[n + 1], q_g1 * dn_g)
+                if polys and n < len(p_out):
+                    p_out[n], f_out[n] = p_tuple, f_gamma
+            else:
+                d_new = Fraction(u_int, q_cur)
+                f_gamma = f_out[r] if polys else Fraction(1, q_cur)
+            if n < len(d_out):
+                d_out[n] = d_new
 
             r_next = n + 1
             if 2 * r_next - 1 > m_top:
                 break  # the step needs s_{2 r_next - 1}
-            # Integer coefficients c (on x^i M_r) and c_b (on M_{r-1}) of the recurrence, over k.
-            ratio = d_new / d_prev  # a_{gap+1}
-            b = -ratio * u / d_prev * f_prev if r else Fraction(0)
-            (c_top, c_b), k = scale_to_integers([ratio / q_cur, b])
+            # Integer coefficients c (on x^i M_r) and c_b (on M_{r-1}) of the recurrence, over k:
+            # c_top / k = a_{gap+1} / q_cur with a_{gap+1} = D_n / D_{r-1}, and
+            # c_b / k = beta = -a_{gap+1} u f_prev / D_{r-1}, all cleared by the
+            # positive sign * q_cur^{gap+2} dn^{gap+2} fd, sign that of (q_cur dn)^gap.
+            sign = -1 if gap % 2 and (q_cur < 0) != (dn < 0) else 1
+            dd_g1 = dd_g * dd
+            c_top = sign * sigma * u_g1 * dd_g1 * dn * fd
+            c_b = -sign * sigma * u_g1 * u_int * dd_g1 * dd * fn if r else 0
+            k = sign * q_g1 * q_cur * dn_g * dn * dn * fd
             c = [0] * (gap + 1) + [c_top]
             for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
                 acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
@@ -454,7 +469,16 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     denominators.  A step combines them with integer coefficients over k, then
     divides k and the vectors by their gcd, so the integers stay as long as the
     values; as determinants of lambda*s they would carry lambda^k, out of all
-    proportion when late terms have long denominators.  D, u, a, beta: Fractions.
+    proportion when late terms have long denominators.
+
+    A step runs on integers only, fraction-free in the manner of Bareiss:
+    u is the integer m_r[r+d] over q_r, and D_{r-1} and the factor of
+    P_{r'} enter by their numerators and denominators.  The coefficients
+    (c, c_b) over k are first a positive multiple of (a_{d+1}/q_r, beta, 1),
+    which the triangular solve and the gcd reduce to the same :class:`ScanStep`
+    as reduced rationals would.  Only the values the scan returns are
+    rationals: each D_n, D'_{n+1} and factor of P_n is one reduced Fraction of
+    an integer numerator and denominator.
 
     This is one :meth:`HankelScanner.extend` with every term.  A scanner
     given its terms in pieces stops where the prefix ends (inside a zero run,

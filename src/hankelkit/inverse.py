@@ -68,7 +68,7 @@ class TargetSequence:
 
     @staticmethod
     def from_values(values: Sequence) -> "TargetSequence":
-        return TargetSequence(tuple(parse_rational(v) for v in values))
+        return TargetSequence(tuple([parse_rational(v) for v in values]))
 
     @staticmethod
     def from_json(payload: dict) -> "TargetSequence":
@@ -84,7 +84,7 @@ class TargetSequence:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(n for n, t in enumerate(self.terms) if t != 0)
+        return tuple([n for n, t in enumerate(self.terms) if t != 0])
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -361,7 +361,7 @@ def _certify(terms: Sequence[Fraction], targets: TargetSequence) -> tuple[tuple,
     |D_n - t_n| / max(1, |t_n|).  Bareiss is independent of the gap formulas
     the construction (and ``hankel_det``) rely on."""
     seq = MomentSequence(tuple(terms))
-    dets = tuple(fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets)))
+    dets = tuple([fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets))])
     residual = max(
         (abs(d - t) / max(1, abs(t)) for d, t in zip(dets, targets.terms)), default=Fraction(0)
     )

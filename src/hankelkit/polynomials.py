@@ -81,7 +81,7 @@ class Polynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def padded(self, length: int) -> tuple[Fraction, ...]:
-        return tuple(self[k] for k in range(length))
+        return tuple([self[k] for k in range(length)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -251,7 +251,7 @@ def p_family(s: SequenceLike, n_max: int) -> tuple[Polynomial, ...]:
         first_missing = len(seq) // 2 + 1  # the smallest n whose P_n the prefix lacks
         raise IndexOutOfRange(2 * first_missing - 1, seq.horizon)
     scan = hankel_scan(seq.prefix(2 * n_max), polys=True)
-    return tuple(Polynomial(scan.p_coeffs(n)) for n in range(n_max + 1))
+    return tuple([Polynomial(scan.p_coeffs(n)) for n in range(n_max + 1)])
 
 
 def second_kind(s: SequenceLike, p: Polynomial) -> Polynomial:
@@ -367,16 +367,18 @@ class JacobiCoeffs:
         if len(doc["a"]) != len(doc["b"]):
             raise ParseError('"a" and "b" must have equal length')
         return cls(
-            tuple(parse_rational(v) for v in doc["a"]),
-            tuple(parse_rational(v) for v in doc["b"]),
+            tuple([parse_rational(v) for v in doc["a"]]),
+            tuple([parse_rational(v) for v in doc["b"]]),
         )
 
 
 def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
     """Recurrence coefficients a_0..a_{N-1}, b_0..b_{N-1} from a quasi-definite prefix.
 
-    a_n = D'_{n+1}/D_n - D'_n/D_{n-1} and b_0 = D_0,
-    b_n = D_n D_{n-2} / D_{n-1}^2, with D_{-1} = 1 and D'_0 = 0.
+    Both come from one scan of s_0..s_{2N-1}.  Every step of a quasi-definite
+    prefix is r -> r+1: P_{n+1} is proportional to (c_0 + c_1 x) P_n + c_b P_{n-1},
+    so a_n = -c_0/c_1, which equals D'_{n+1}/D_n - D'_n/D_{n-1} (D_{-1} = 1,
+    D'_0 = 0).  b_0 = D_0 and b_n = D_n D_{n-2} / D_{n-1}^2.
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient pair")
@@ -387,14 +389,16 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
     for n, value in enumerate(scan.d_values):
         if value == 0:
             raise NotQuasiDefinite(n)
-    d = [Fraction(1)] + list(scan.d_values)  # D_{-1} at index 0
-    dp = [Fraction(0)] + list(scan.d_prime_values)  # D'_0..D'_N
-    a = tuple(dp[n + 1] / d[n + 1] - dp[n] / d[n] for n in range(n_terms))
-    b_list = [d[1]]
+    a = tuple([Fraction(-step.c[0], step.c[1]) for step in scan.steps])
+    d = (Fraction(1),) + scan.d_values  # D_{n-1} at index n
+    b = [d[1]]
     for n in range(1, n_terms):
-        prev2 = d[n - 1]  # D_{n-2}, with D_{-1} = 1 at index 0
-        b_list.append(d[n + 1] * prev2 / (d[n] * d[n]))
-    return JacobiCoeffs(a, tuple(b_list))
+        cur, prev, prev2 = d[n + 1], d[n], d[n - 1]
+        b.append(Fraction(
+            cur.numerator * prev2.numerator * prev.denominator**2,
+            cur.denominator * prev2.denominator * prev.numerator**2,
+        ))
+    return JacobiCoeffs(a, tuple(b))
 
 
 def moments_from_jacobi(j: JacobiCoeffs) -> MomentSequence:

@@ -146,7 +146,7 @@ def expand_rational(rf: RationalForm, m_out: int) -> MomentSequence:
             f"numerator degree {rf.q.degree} must be below denominator degree {rho}"
         )
     if rho == 0:
-        return MomentSequence(tuple(Fraction(0) for _ in range(m_out + 1)))
+        return MomentSequence((Fraction(0),) * (m_out + 1))
     pi = rf.p.padded(rho + 1)
     terms: list[Fraction] = []
     for m in range(min(rho, m_out + 1)):

@@ -29,6 +29,9 @@ DEFAULT_PRECISION_BITS = 256
 # longer digit strings; exponent notation must not expand past it either.
 MAX_RATIONAL_DIGITS = 4300
 _DECIMAL = r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*"
+# The common input: an ASCII integer or integer ratio, parsed without Fraction's
+# own regular expression.
+_INTEGER_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 # Quotes a rejected input in an error message.  It looks at no more than it
 # prints: a string's first characters and a list's first items, with the
@@ -74,6 +77,10 @@ def parse_rational(value: RationalLike) -> Fraction:
         if "." in value or "e" in value or "E" in value:
             _check_expanded_size(value)
         try:
+            match = _INTEGER_RATIO.fullmatch(value)
+            if match is not None:
+                num, den = match.groups()
+                return Fraction(int(num), int(den)) if den else Fraction(int(num))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {_QUOTE.repr(value)}") from exc

@@ -8,10 +8,15 @@ by Fraction polynomial division, measure weights and residual bounds through
 mpmath's high-level mp and iv contexts, and the prescribed-determinant
 constructions by a fresh scan of the prefix at every step.  Slow but
 obviously correct at desk scale; the tests demand bit-exact agreement.
+The one exception is :func:`oracle_hankel_scan`, a frozen copy of the pass as
+it derived each block step through reduced Fraction algebra: it pins every
+field of ``hankel_scan``, the sign and content of each step's integer
+coefficients among them, which no determinant oracle sees.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +26,7 @@ from typing import Sequence
 from mpmath import iv, libmp, mp
 
 from hankelkit.approximants import BlockStep, StructureReport, _extension_values, recurrence_coeffs
-from hankelkit.core import hankel_det
+from hankelkit.core import HankelScan, HankelScanner, ScanStep, hankel_det, scale_to_integers
 from hankelkit.polynomials import poly_P, poly_Q
 from hankelkit.scalars import exact_kth_root
 
@@ -262,6 +267,80 @@ def oracle_degree_profile(s: Sequence[Fraction], polys: Sequence):
         horizon=len(s),
         anomalies=tuple(anomalies),
     )
+
+
+class FractionStepScanner(HankelScanner):
+    """HankelScanner whose block steps derive their integer coefficients by
+    Fraction algebra: u, the gap formula, a_{gap+1} = D_n / D_{r-1}, beta and
+    their common denominator, as the pass did before its steps ran on integers."""
+
+    def _run(self) -> None:
+        m_top = len(self.terms) - 1
+        polys = self.polys
+        d_out, dp_out, p_out, f_out = self.d_values, self.d_prime_values, self.p_int, self.p_factor
+        r, j, d_prev = self._r, self._j, self._d_prev
+        p_cur, m_cur, q_cur = self._p_cur, self._m_cur, self._q_cur
+        p_prev, m_prev, f_prev = self._p_prev, self._m_prev, self._f_prev
+        while True:
+            if polys:
+                p_out[r], f_out[r] = tuple(p_cur), Fraction(1, q_cur)
+            while j <= m_top - r and m_cur[j] == 0:
+                j += 1
+            if j > m_top - r:
+                break
+            gap = j - r
+            u_int = m_cur[j]
+            u = Fraction(u_int, q_cur)
+            n = r + gap
+            sign = -1 if (gap * (gap + 1) // 2) % 2 else 1
+            d_new = sign * u ** (gap + 1) / d_prev**gap if gap else u
+            if n < len(d_out):
+                d_out[n] = d_new
+            if r < len(dp_out):
+                dp_out[r] = Fraction(m_cur[r + 1], q_cur)
+            f_gamma = d_new / (u * q_cur) if gap else Fraction(1, q_cur)
+            if gap and n < len(dp_out):
+                dp_out[n] = f_gamma * m_cur[n + 1]
+            if polys and n < len(p_out):
+                p_out[n], f_out[n] = tuple(p_cur), f_gamma
+
+            r_next = n + 1
+            if 2 * r_next - 1 > m_top:
+                break
+            ratio = d_new / d_prev
+            b = -ratio * u / d_prev * f_prev if r else Fraction(0)
+            (c_top, c_b), k = scale_to_integers([ratio / q_cur, b])
+            c = [0] * (gap + 1) + [c_top]
+            for t in range(gap + 1):
+                acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
+                c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
+                c[gap - t] = -acc
+            h = math.gcd(k, c_b, *c)
+            c, c_b, k = [x // h for x in c], c_b // h, k // h
+            self.steps.append(ScanStep(r, r_next, tuple(c), c_b))
+
+            lo, hi = r_next, m_top - r_next
+            acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
+            for i, ci in enumerate(c):
+                if ci:
+                    acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
+            acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
+            for i, ci in enumerate(c):
+                if ci:
+                    for e, x in enumerate(p_cur):
+                        acc_p[i + e] += ci * x
+            g = math.gcd(k, *acc_m, *acc_p)
+            p_prev, m_prev, f_prev = p_cur, m_cur, f_gamma
+            p_cur, m_cur, q_cur = [x // g for x in acc_p], [0] * lo + [x // g for x in acc_m], k // g
+            r, j, d_prev = r_next, r_next, d_new
+        self._r, self._j, self._d_prev = r, j, d_prev
+        self._p_cur, self._m_cur, self._q_cur = p_cur, m_cur, q_cur
+        self._p_prev, self._m_prev, self._f_prev = p_prev, m_prev, f_prev
+
+
+def oracle_hankel_scan(s: Sequence[Fraction], polys: bool = False) -> HankelScan:
+    """hankel_scan with the Fraction-algebra block steps of FractionStepScanner."""
+    return FractionStepScanner(polys).extend(s).result()
 
 
 def oracle_measure_floats(s: Sequence[Fraction], enclosures, precision_bits: int) -> list[tuple]:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -361,6 +362,49 @@ class TestMeasurePinnedOutput:
         path = write_json(tmp_path, "s.json", {"sequence": pinned_moments(r)})
         code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits)])
         assert code == expected["exit"] == (0 if bits == 256 else 4)
+        assert out == expected["stdout"]
+        assert err == expected["stderr"]
+
+
+# Recorded CLI output (exit code, stdout, stderr) of the commands that read one
+# Hankel scan, on pinned_prefixes(); a faster scan must leave every byte alone.
+PINNED_SCAN_OUTPUTS = Path(__file__).parent / "data" / "scan_cli_outputs.json"
+SCAN_COMMANDS = {"det": [], "jacobi": [], "poly": ["--max-n", "8"], "rank": [], "profile": []}
+
+
+def pinned_prefixes():
+    """Six fixed prefixes, by name, as rational strings."""
+    rng = random.Random(40)
+    generic = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(40)]
+    # Zero runs of lengths 3, 1 and 3 in D_n, closed by negative and positive u.
+    zero_runs = [Fraction(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1, -1, 0, 0, 2, 0, 0, 0, 0)]
+    zero_runs += [Fraction(v) for v in (-3, 1, -1, 0, 0, 5, 2, -7, 1, 0, 3, 1)]
+    zero_first = [Fraction(0)] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(19)]
+    finite_rank = [Fraction(1), Fraction(1, 2), Fraction(-1)]
+    while len(finite_rank) < 24:
+        finite_rank.append(finite_rank[-3] - 2 * finite_rank[-2] + finite_rank[-1] / 2)
+    ends_in_zero_run = [Fraction(v) for v in (2, 1, -1)] + [Fraction(1, 2), Fraction(3)] + [Fraction(0)] * 11
+    late_denominators = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(14)]
+    late_denominators += [Fraction(rng.getrandbits(40) - 2**39, 2**300 * 3**190) for _ in range(2)]
+    cases = {
+        "generic40": generic,
+        "zero_runs": zero_runs,
+        "zero_first": zero_first,
+        "finite_rank": finite_rank,
+        "ends_in_zero_run": ends_in_zero_run,
+        "late_600bit_denominators": late_denominators,
+    }
+    return {name: [str(v) for v in values] for name, values in cases.items()}
+
+
+class TestScanCommandsPinnedOutput:
+    @pytest.mark.parametrize("command", list(SCAN_COMMANDS))
+    @pytest.mark.parametrize("name", list(pinned_prefixes()))
+    def test_byte_identical(self, tmp_path, capsys, name, command):
+        expected = json.loads(PINNED_SCAN_OUTPUTS.read_text(encoding="utf-8"))[f"{name}-{command}"]
+        path = write_json(tmp_path, "s.json", {"sequence": pinned_prefixes()[name]})
+        code, out, err = run(capsys, [command, path, *SCAN_COMMANDS[command]])
+        assert code == expected["exit"]
         assert out == expected["stdout"]
         assert err == expected["stderr"]
 

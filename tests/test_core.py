@@ -22,7 +22,7 @@ from hankelkit import (
     shifted_det,
 )
 from hankelkit.core import bottom_row_minors, echelonize, fraction_free_det, solve_unique
-from hankelkit.scalars import format_rational
+from hankelkit.scalars import _QUOTE, _check_expanded_size, format_rational
 
 from oracles import (
     cofactor_det,
@@ -98,6 +98,57 @@ class TestMomentSequence:
         assert seq.max_index == 2
         assert not seq.is_zero()
         assert MomentSequence.from_values([0, 0]).is_zero()
+
+
+def parse_via_fraction(text: str) -> F:
+    """parse_rational's general route for strings, taken for every string."""
+    if "." in text or "e" in text or "E" in text:
+        _check_expanded_size(text)
+    try:
+        return F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"not a rational: {_QUOTE.repr(text)}") from exc
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+digits = st.text(alphabet="0123456789", min_size=1, max_size=30)
+long_digits = st.sampled_from(["7" * 4300, "7" * 4301, "0" * 4301, "1" + "0" * 4300])
+near_ratios = st.builds(
+    lambda pad, sign, num, sep, den: pad + sign + num + sep + den + pad,
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["", "-", "+", "--"]),
+    st.one_of(digits, long_digits, st.sampled_from(["1_000", "١٢", "１", "²", "0"])),
+    st.sampled_from(["", "/", "/-", "//", " / "]),
+    st.one_of(st.just(""), digits, long_digits, st.sampled_from(["0", "-3", "00", "3_0", "٣"])),
+)
+any_text = st.text(alphabet="0123456789-+/_ .eE\t\n١１²", max_size=12)
+
+
+class TestParseRationalFastPath:
+    """ASCII integers and integer ratios skip Fraction's own parser; every string
+    must give what that parser gives: the same value or the same ParseError."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(near_ratios, any_text))
+    def test_matches_the_fraction_route(self, text):
+        assert outcome(parse_rational, text) == outcome(parse_via_fraction, text)
+
+    @pytest.mark.parametrize(
+        "text", ["1/0", "-0/0", "2/-3", "+5", " 5", "5 ", "1_0", "١٢", "7" * 4301, "1/" + "3" * 4301, "-", "/3", ""]
+    )
+    def test_edge_cases(self, text):
+        assert outcome(parse_rational, text) == outcome(parse_via_fraction, text)
+
+    def test_values(self):
+        assert parse_rational("-12/18") == F(-2, 3)
+        assert parse_rational("007") == 7
+        assert str(outcome(parse_rational, "1/0")) == "not a rational: '1/0'"
 
 
 class TestHankelDet:

@@ -9,6 +9,10 @@ scanner fed the same prefixes in chunks, with new denominators arriving late,
 must match one scan of every prefix it has seen.  On the same
 strategies, `degree_profile`, which reads its report off the scan's block
 steps, must match monic division of Bareiss P_n (`oracle_degree_profile`).
+Every field of the scan, each block step's integer coefficients with their
+sign and content among them, must equal the pass that derived those
+coefficients through reduced Fractions (`oracle_hankel_scan`), in one scan
+and in chunks.
 """
 
 import math
@@ -24,6 +28,7 @@ from hankelkit import (
     degree_profile,
     determinant_transform,
     hankel_det,
+    jacobi_from_moments,
     p_family,
     poly_P,
     poly_Q,
@@ -39,9 +44,16 @@ from hankelkit.core import (
     hankel_scan,
     solve_unique,
 )
-from hankelkit.errors import IndexOutOfRange, SingularLeadingMinor
+from hankelkit.errors import IndexOutOfRange, NotQuasiDefinite, SingularLeadingMinor
 
-from oracles import oracle_degree_profile, oracle_hankel_det, oracle_poly_coeffs, oracle_shifted_det
+from oracles import (
+    FractionStepScanner,
+    oracle_degree_profile,
+    oracle_hankel_det,
+    oracle_hankel_scan,
+    oracle_poly_coeffs,
+    oracle_shifted_det,
+)
 
 ORACLE_MAX_N = 5
 
@@ -101,7 +113,9 @@ def chunked(draw):
     """A prefix from any strategy above, cut into one to five chunks; some later
     entries get new denominators 2^a 3^b, so a resumed scan has to multiply its
     integers up, and cuts fall inside zero runs wherever the prefix has them."""
-    s = draw(st.one_of(generic, signs, rare_ones, zero_start, finite_rank(), mid_gap(), planted_gap()))
+    s = draw(st.one_of(
+        generic, signs, rare_ones, zero_start, finite_rank(), mid_gap(), planted_gap(), long_late_denominators()
+    ))
     if s and draw(st.booleans()):
         for at in draw(st.lists(st.integers(len(s) // 2, len(s) - 1), max_size=3)):
             if s[at]:
@@ -122,6 +136,16 @@ def trimmed(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def assert_same_scan(got, want, context):
+    """Every field equal, each step's c and c_b as ints with their sign and content."""
+    assert got.d_values == want.d_values, context
+    assert got.d_prime_values == want.d_prime_values, context
+    assert got.p_int == want.p_int, context
+    assert got.p_factor == want.p_factor, context
+    assert got.steps == want.steps, context
+    assert all(type(x) is int for step in got.steps for x in (*step.c, step.c_b)), context
 
 
 def check_against_elimination(s):
@@ -145,6 +169,8 @@ def check_against_elimination(s):
             assert coeffs == trimmed(oracle_poly_coeffs(s, n)), (s, n)
     without = hankel_scan(s)
     assert (without.d_values, without.d_prime_values) == (scan.d_values, scan.d_prime_values)
+    assert_same_scan(scan, oracle_hankel_scan(s, polys=True), s)
+    assert_same_scan(without, oracle_hankel_scan(s), s)
 
 
 class TestScanMatchesElimination:
@@ -182,6 +208,18 @@ class TestScanMatchesElimination:
     @given(long_late_denominators())
     def test_late_terms_with_long_denominators(self, s):
         check_against_elimination(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_gap())
+    def test_planted_gaps(self, s):
+        check_against_elimination(s)
+
+    def test_odd_gaps_after_negative_determinants(self):
+        # Zero runs of length 1 and 3 closed by negative u, with D_{r-1} < 0 before them:
+        # the step's integers are first scaled by the sign of (q_r dn)^gap.
+        s = [F(v) for v in (-1, 0, 0, 2, 0, 0, 0, 0, -3, 1, -1, 0, 0, 5, 2, -7, 1, 0, 3, 1)]
+        check_against_elimination(s)
+        assert any(step.r_next - step.r == 2 for step in hankel_scan(s).steps)
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_odd_and_even_lengths_of_one_planted_gap(self, length):
@@ -231,10 +269,12 @@ class TestResumedScan:
     @example(([F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)], list(range(1, 12))))  # one term at a time
     def test_chunks_give_the_one_shot_scan(self, case):
         s, cuts = case
-        scanner = HankelScanner(polys=True)
+        scanner, frozen = HankelScanner(polys=True), FractionStepScanner(polys=True)
         for lo, hi in zip([0] + cuts, cuts + [len(s)]):
             scanner.extend(s[lo:hi])
+            frozen.extend(s[lo:hi])
             got, want = scanner.result(), hankel_scan(s[:hi], polys=True)
+            assert_same_scan(got, frozen.result(), (s, cuts, hi))
             assert got.d_values == want.d_values, (s, cuts, hi)
             assert got.d_prime_values == want.d_prime_values, (s, cuts, hi)
             assert len(got.p_int) == len(want.p_int)
@@ -326,6 +366,23 @@ class TestRoutedFunctions:
                 continue
             rhs = [s[r + i] for i in range(r)]
             assert list(recurrence_coeffs(s, r).d) == solve_unique(rows, rhs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(generic)
+    def test_jacobi_matches_the_determinant_formula(self, s):
+        n_terms = len(s) // 2
+        if n_terms < 1:
+            return
+        scan = hankel_scan(s[: 2 * n_terms])
+        if not all(scan.d_values):
+            with pytest.raises(NotQuasiDefinite):
+                jacobi_from_moments(s, n_terms)
+            return
+        d = (F(1),) + scan.d_values  # D_{n-1} at index n
+        dp = (F(0),) + scan.d_prime_values  # D'_n at index n
+        jac = jacobi_from_moments(s, n_terms)
+        assert jac.a == tuple(dp[n + 1] / d[n + 1] - dp[n] / d[n] for n in range(n_terms))
+        assert jac.b == tuple(d[n + 1] * d[n - 1] / (d[n] * d[n]) if n else d[1] for n in range(n_terms))
 
     def test_p_family_bounds(self):
         assert len(p_family([1, 2, 3, 4], 2)) == 3
