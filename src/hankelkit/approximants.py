@@ -259,7 +259,7 @@ def degree_profile(s: SequenceLike) -> StructureReport:
     marks the block that built P_n inconsistent.
     """
     seq = as_moments(s)
-    if len(seq) == 0 or seq.is_zero():
+    if seq.is_zero():
         raise ZeroSequence()
     n_max = len(seq) // 2
     scan = hankel_scan(seq.prefix(2 * n_max), polys=True)

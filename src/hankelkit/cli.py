@@ -19,18 +19,9 @@ Exit codes: 0 success, 1 usage, 2 parse, 3 precondition violation,
 4 precision exhausted.  Input lists and --len / --max-n are capped at
 MAX_TERMS.
 
-main parses with a parser holding only the subcommand its first argument
-names, from the same COMMANDS table as the full parser; any other first
-argument (none, -h, --, a typo) gets the full parser, so help texts and usage
-errors do not depend on which was built.  Each of these parsers is built on
-first use and kept in PARSERS for the life of the process: building one costs
-about a third of a short document's whole run, and argparse does not change
-a parser by parsing with it.  Keeping them does not raise peak RSS, which
-follows how often CPython runs a full collection: once main built only the
-invoked command's parser, the garbage it left per call was already too little
-to make full collections frequent, so keeping it changes their rate little.
-On the benchmark's zero_blocks workload peak RSS went from 27.5 MB, parsers
-built per call, to 26.8 MB, parsers kept (medians of six runs).
+main builds its parser on first use and keeps it for the life of the process:
+building it costs about a third of a short document's whole run, and argparse
+does not change a parser by parsing with it.
 """
 
 from __future__ import annotations
@@ -68,8 +59,9 @@ MAX_PRECISION_BITS = 65536
 MAX_TERMS = 200
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(HankelError):
+    kind = "UsageError"
+    exit_code = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,7 +100,7 @@ def _tolerance(text: str) -> str:
 
 
 # The subcommands in help order: name -> (help text, options after "input" as
-# (flag, add_argument keywords) pairs).  Both parsers build_parser makes read it.
+# (flag, add_argument keywords) pairs).
 COMMANDS = {
     "det": ("Hankel determinant profile of a sequence", ()),
     "poly": ("determinant polynomials P_n and Q_n", (
@@ -137,16 +129,11 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """A new CLI parser; given a command name, one that holds only that subcommand.
-
-    A one-command parser parses that command's argument lists exactly as the
-    full parser does: a subcommand's arguments, errors and help are its own.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new CLI parser holding every subcommand."""
     parser = _Parser(prog="hankelkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else (command,):
-        help_text, options = COMMANDS[name]
+    for name, (help_text, options) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="path to the input JSON file")
         for flag, kwargs in options:
@@ -154,8 +141,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-# The parsers main has built, by command name (None: the full parser).
-PARSERS: dict[Optional[str], argparse.ArgumentParser] = {}
+# The parser main has built, if it has run.
+PARSER: Optional[argparse.ArgumentParser] = None
 
 
 def _load_json(path: str):
@@ -268,22 +255,11 @@ def _emit_error(payload: dict) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    key = argv[0] if argv and argv[0] in COMMANDS else None
-    parser = PARSERS.get(key)
-    if parser is None:
-        parser = PARSERS[key] = build_parser(key)
+    global PARSER
+    if PARSER is None:
+        PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _emit_error({"error": str(exc), "kind": "UsageError"})
-        return 1
-    try:
-        payload = _dispatch(args)
-    except _UsageError as exc:
-        _emit_error({"error": str(exc), "kind": "UsageError"})
-        return 1
+        payload = _dispatch(PARSER.parse_args(argv))  # None: argparse reads sys.argv
     except HankelError as exc:
         _emit_error(exc.to_json())
         return exc.exit_code

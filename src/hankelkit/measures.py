@@ -142,7 +142,7 @@ def psd_finite_rank_check(s: SequenceLike) -> int:
 
 def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
     """psd_finite_rank_check's r, with the one scan (every D_n and P_n) it read."""
-    if len(seq) == 0 or seq.is_zero():
+    if seq.is_zero():
         raise ZeroSequence()
     scan = hankel_scan(seq, polys=True)
     d = scan.d_values

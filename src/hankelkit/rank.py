@@ -87,8 +87,6 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
     The profile and P_r come from one scan with polynomials.
     """
     seq = as_moments(s)
-    if len(seq) == 0:
-        return RankCertificate("ZeroSequence", 0, 0, None, DeterminantProfile((), (), 0))
     scan = hankel_scan(seq, polys=True)
     profile = DeterminantProfile(scan.d_values, scan.d_prime_values, seq.horizon)
     if seq.is_zero():

@@ -214,6 +214,8 @@ class TestDegreeProfile:
     def test_zero_sequence_rejected(self):
         with pytest.raises(ZeroSequence):
             degree_profile([0, 0, 0])
+        with pytest.raises(ZeroSequence):
+            degree_profile([])
 
     def test_frozen_sparse_example(self):
         # P_0 = 1, P_1 = x, P_2 = 0, P_3 = -x, P_4 = 1 - x^4 (hand cofactors)

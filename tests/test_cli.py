@@ -3,14 +3,21 @@
 import argparse
 import json
 import random
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hankelkit import cli
-from hankelkit.cli import COMMANDS, MAX_PRECISION_BITS, MAX_TERMS, build_parser, main
+from hankelkit.cli import (
+    COMMANDS,
+    MAX_PRECISION_BITS,
+    MAX_TERMS,
+    MEASURE_TOLERANCE,
+    build_parser,
+    main,
+)
+from hankelkit.inverse import DEFAULT_TOLERANCE
 from hankelkit.measures import moments_of_atoms
 
 
@@ -534,8 +541,8 @@ def differential_cases():
 
 
 class TestPerCommandParser:
-    """main parses with a parser for the named command only, built on first use
-    and kept for the process; it must act as the full one."""
+    """main builds one parser holding every command on first use and keeps it
+    for the process; on each command line it must act as a new full parser."""
 
     @staticmethod
     def argv_with_inputs(tmp_path, argv):
@@ -555,27 +562,30 @@ class TestPerCommandParser:
     @pytest.mark.parametrize("argv", list(differential_cases()), ids=" ".join)
     def test_matches_the_full_parser(self, tmp_path, capsys, monkeypatch, argv):
         argv = self.argv_with_inputs(tmp_path, argv)
-        used = {}
-        monkeypatch.setattr(cli, "PARSERS", used)
+        monkeypatch.setattr(cli, "PARSER", None)
+        for other in (["-h"], ["measure", "--bogus"], ["solve", "-h"],
+                      ["solve", "<input>", "--tol", "1e-30", "--policy", "seed:1"],
+                      ["poly", "<input>", "--max-n", "1"]):
+            self.outcome(capsys, self.argv_with_inputs(tmp_path, other))
+        kept = cli.PARSER
         got = self.outcome(capsys, argv)
-        monkeypatch.setattr(cli, "PARSERS", {})
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert cli.PARSER is kept
+        monkeypatch.setattr(cli, "PARSER", None)
         assert got == self.outcome(capsys, argv)
-        (parser,) = used.values()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == ({argv[0]} if argv and argv[0] in COMMANDS else set(COMMANDS))
+        sub = next(a for a in kept._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(COMMANDS)
 
     def test_kept_parsers_answer_every_call_alike(self, tmp_path, capsys, monkeypatch):
-        built = Counter()
+        built = []
 
-        def spy(command=None):
-            built[command] += 1
-            return build_parser(command)
+        def spy():
+            built.append(build_parser())
+            return built[-1]
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        monkeypatch.setattr(cli, "PARSERS", {})
-        cases = [self.argv_with_inputs(tmp_path, argv) for argv in differential_cases()]
-        for argv in cases:
+        monkeypatch.setattr(cli, "PARSER", None)
+        for argv in differential_cases():
+            argv = self.argv_with_inputs(tmp_path, argv)
             head = argv[:1] if argv and argv[0] in COMMANDS else []
             usage_error, help_request = head + ["--bogus"], head + ["-h"]
             first = self.outcome(capsys, argv)
@@ -583,8 +593,22 @@ class TestPerCommandParser:
                 code, _, _ = self.outcome(capsys, other)
                 assert code in (0, 1)
                 assert self.outcome(capsys, argv) == first, argv
-        keys = {argv[0] if argv and argv[0] in COMMANDS else None for argv in cases}
-        assert built == {key: 1 for key in keys}
+        assert len(built) == 1
+
+    def test_commands_keep_their_own_defaults(self):
+        parser = build_parser()
+
+        def parse(*argv):
+            return parser.parse_args([argv[0], "x.json", *argv[1:]])
+
+        assert parse("measure").tol == MEASURE_TOLERANCE
+        assert parse("solve", "--tol", "1e-5").tol == "1e-5"
+        assert parse("measure").tol == MEASURE_TOLERANCE
+        assert parse("solve").tol == DEFAULT_TOLERANCE
+        assert parse("poly", "--max-n", "3").max_n == 3
+        assert parse("jacobi").max_n is None
+        assert parse("solve", "--policy", "seed:1").policy == "seed:1"
+        assert parse("solve").policy is None
 
 
 # Atoms n/7 whose 64-bit weights differ by rounding alone; at 256 bits they agree.

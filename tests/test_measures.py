@@ -104,6 +104,8 @@ class TestPSDFiniteRankCheck:
     def test_zero_sequence(self):
         with pytest.raises(ZeroSequence):
             psd_finite_rank_check([0, 0, 0])
+        with pytest.raises(ZeroSequence):
+            psd_finite_rank_check([])
 
     def test_synthesized_measures_pass(self):
         rng = random.Random(5001)

@@ -8,8 +8,10 @@ from mpmath import mp
 
 from hankelkit import (
     DegreeViolation,
+    DeterminantProfile,
     IndexOutOfRange,
     Polynomial,
+    RankCertificate,
     RationalForm,
     SingularLeadingMinor,
     approx_sequence,
@@ -51,6 +53,9 @@ class TestHankelRank:
         assert cert.verdict == "ZeroSequence"
         assert cert.rank == 0
         assert cert.horizon == 4
+        assert hankel_rank([]) == RankCertificate(
+            "ZeroSequence", 0, 0, None, DeterminantProfile((), (), 0)
+        )
 
     def test_recurrence_failure_blocks_finite_verdict(self):
         # D_1 = D_2 = 0 yet s_4 breaks the geometric recurrence: the
