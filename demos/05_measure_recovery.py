@@ -5,9 +5,9 @@ w_k, then the Hankel determinants are positive up to the number of atoms and
 zero beyond -- and that shape is also sufficient: from such a prefix the
 atoms are the roots of P_r and the weights come out of two independent
 formulas.  Root enclosures are exact rational intervals (Sturm isolation,
-then Newton steps in integer arithmetic, each confirmed by exact signs of
-P_r), weight and moment residuals are certified with outward-rounded interval
-arithmetic.
+then an approximate root that exact signs of P_r at the ends of its target
+cell confirm), weight and moment residuals are certified with
+outward-rounded interval arithmetic.
 """
 
 from fractions import Fraction as F

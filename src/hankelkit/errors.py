@@ -41,8 +41,9 @@ class IndexOutOfRange(HankelError):
     kind = "index_out_of_range"
 
     def __init__(self, needed: int, horizon: int, what: str = "moment"):
+        known = f"only indices 0..{horizon - 1} are known" if horizon else "no terms are known"
         super().__init__(
-            f"needs {what} index {needed} but only indices 0..{horizon - 1} are known",
+            f"needs {what} index {needed} but {known}",
             needed=needed,
             horizon=horizon,
         )

@@ -9,18 +9,21 @@ Christoffel-Darboux sum  sum_{k<r} P_k(lambda)^2 / (D_k D_{k-1}).
 
 Roots are isolated with exact Sturm chains over the integers (primitive
 pseudo-remainders, each a positive multiple of the rational chain's element),
-and each isolated (simple) root is refined by the sign of P_r alone: a Newton
-step from the cell's midpoint, computed in integers, proposes a much narrower
-cell and exact integer signs at its two ends must confirm it (Abbott's
-quadratic interval refinement), otherwise the cell is halved.  Both stages
-cut on one dyadic grid, so the enclosures are guaranteed disjoint; no
-floating point enters isolation.  Weights are computed by both formulas on
-mpmath's raw mpf tuples at precision_bits, every step rounded to nearest
-(each rational converted once per measure, as mp.mpf(numerator) / denominator
-converts it), and must agree.  The recovered measure's moments are re-checked
-against the input in interval arithmetic on raw interval tuples at
-precision_bits, rounded outward at every step; the residual's upper end is
-rounded up and never rounded again.  Nothing in this module trusts an
+bisecting from the grid cells next to 0 that cover Fujiwara's bound on the
+roots, and each isolated (simple) root is refined by the sign of P_r alone.
+An approximate root (safeguarded Newton in floats, then in fixed-point
+integers at doubling precision) names the target cell, and exact integer
+signs at its two ends must confirm it; otherwise exact Newton steps propose
+narrower cells that exact signs confirm (Abbott's quadratic interval
+refinement), or the cell is halved.  Every stage cuts on one dyadic grid, so
+the enclosures are guaranteed disjoint, and only exact signs decide them: an
+approximation never reaches the output.  Weights are computed by both
+formulas on mpmath's raw mpf tuples at precision_bits, every step rounded to
+nearest (each rational converted once per measure, as mp.mpf(numerator) /
+denominator converts it), and must agree.  The recovered measure's moments
+are re-checked against the input in interval arithmetic on raw interval
+tuples at precision_bits, rounded outward at every step; the residual's upper
+end is rounded up and never rounded again.  Nothing in this module trusts an
 unverified numeric step.
 """
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import frexp, gcd, isfinite
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from mpmath import mp
@@ -245,9 +248,14 @@ def _sturm_chain(p: Polynomial) -> list[list[int]]:
     return chain
 
 
-def _sign_changes(chain: list[list[int]], x: Fraction | _Unreduced) -> int:
-    signs = [s for s in (_sign_at(c, x) for c in chain) if s != 0]
+def _changes(signs: Sequence[int]) -> int:
+    """Sign changes along signs, zeros skipped."""
+    signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sign_changes(chain: list[list[int]], x: Fraction | _Unreduced) -> int:
+    return _changes([_sign_at(c, x) for c in chain])
 
 
 def cauchy_bound(p: Polynomial) -> Fraction:
@@ -259,6 +267,19 @@ def cauchy_bound(p: Polynomial) -> Fraction:
     return max(Fraction(1), total)
 
 
+def _root_exponent(coeffs: Sequence[int]) -> Optional[int]:
+    """An e with |root| < 2^e for every root of the integer polynomial
+    (lowest coefficient first), or None when 0 is its only root.
+
+    Fujiwara's bound 2 max_k |c_k / c_n|^(1/(n-k)), with each ratio below
+    2^(bitlen(c_k) - bitlen(c_n) + 1): bit lengths only, no division.
+    """
+    n = len(coeffs) - 1
+    top = coeffs[-1].bit_length()
+    exponents = [-((top - c.bit_length() - 1) // (n - k)) for k, c in enumerate(coeffs[:-1]) if c]
+    return 1 + max(exponents) if exponents else None
+
+
 def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS) -> list[Interval]:
     """Disjoint rational enclosures of ALL real roots of p, each of width
     at most 2^-precision_bits * max(1, root bound).
@@ -266,8 +287,11 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
     Every enclosure is a cell (lo, hi] of one dyadic grid over
     [-B-1, B+1] (B the Cauchy bound): the cell at the first depth whose width
     is at most that target, or a deeper one where two roots share it.  Sturm
-    bisection only isolates (it stops at one root per cell); each root is then
-    refined by the sign of p alone (see _refine_root).
+    bisection only isolates (it stops at one root per cell), and it starts
+    from the two grid cells next to 0 that cover Fujiwara's bound 2^e on
+    |root|, which is often far below B; sign counts at their outer ends are
+    those at -inf and +inf, read off the chain's leading coefficients.  Each
+    root is then refined by the sign of p alone (see _refine_root).
 
     Multiple roots are counted once (the generalized Sturm chain counts
     distinct roots).  Raises RootCountMismatch when p has fewer real roots
@@ -278,23 +302,43 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
         raise DegreeViolation("root isolation requires degree >= 1")
     chain = _sturm_chain(p)
     bound = cauchy_bound(p)
-    lo, hi = -bound - 1, bound + 1
+    hi = bound + 1
     target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
-    v_lo, v_hi = _sign_changes(chain, lo), _sign_changes(chain, hi)
+    # V(-inf) and V(+inf), from each element's leading term.  No root lies
+    # outside the grid, so they stand in for V at the grid's ends: only
+    # differences of V, which count roots, are used.
+    leads = [1 if c[-1] > 0 else -1 for c in chain]
+    v_lo = _changes([lead if len(c) % 2 else -lead for lead, c in zip(leads, chain)])
+    v_hi = _changes(leads)
     if v_lo - v_hi < p.degree:
         raise RootCountMismatch(p.degree, v_lo - v_hi)
-    width = hi - lo
+    width = 2 * hi
 
     def point(i: int, depth: int) -> _Unreduced:
-        """Grid point lo + width * i / 2^depth; cell i at depth is (point i, point i+1]."""
+        """Grid point -hi + width * i / 2^depth; cell i at depth is (point i, point i+1]."""
         return _Unreduced(hi.numerator * ((i << 1) - (1 << depth)), hi.denominator << depth)
 
     ratio = width / target  # depth_k: the least k with 2^k >= ratio
     depth_k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
     coeffs = chain[0]
     slope = [k * c for k, c in enumerate(coeffs)][1:]
+    # Start at the deepest d0 <= depth_k whose cells are at least 2^e wide:
+    # every root then lies in (point(half - 1), 0] or (0, point(half + 1)].
+    e = _root_exponent(coeffs)
+    if e is None:
+        d0 = depth_k
+    else:
+        d0 = width.numerator.bit_length() - width.denominator.bit_length() - e
+        if Fraction(2) ** (d0 + e) > width:
+            d0 -= 1
+        d0 = min(max(d0, 0), depth_k)
+    if d0 == 0:
+        pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
+    else:
+        half = 1 << (d0 - 1)  # 0 is grid point half at depth d0
+        v_zero = _sign_changes(chain, _Unreduced(0, 1))
+        pending = [(half - 1, d0, v_lo, v_zero), (half, d0, v_zero, v_hi)]
     cells = []
-    pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
     while pending:
         i, depth, v_left, v_right = pending.pop()
         count = v_left - v_right
@@ -307,6 +351,90 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
     intervals = [Interval(Fraction(*point(i, d)), Fraction(*point(i + 1, d))) for i, d in cells]
     intervals.sort(key=lambda interval: interval.lo)
     return intervals
+
+
+def _fixed_horner(coeffs: Sequence[int], x: int, bits: int) -> int:
+    """About p(x / 2^bits) 2^bits: Horner's rule in fixed point, each step
+    truncated to a whole unit 2^-bits."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = ((acc * x) >> bits) + (c << bits)
+    return acc
+
+
+def _approximate_root(
+    coeffs: Sequence[int], slope: Sequence[int], lo: _Unreduced, hi: _Unreduced, s: int, bits: int
+) -> Optional[tuple[int, int]]:
+    """(x, f) with x / 2^f meant to lie within 2^-bits of the one root of p
+    in the cell (lo, hi] (both ends over one denominator), where p has the
+    sign s on (root, hi]; or None.
+
+    Safeguarded Newton in floats first: the cell shrinks around the root by
+    the float sign of p, and a step that leaves it is replaced by bisection.
+    Then Newton in fixed-point integers at doubling precision, up to bits
+    plus guard bits for Horner's rounding, estimated from the float stage.
+    None on a float overflow, a zero derivative, a step out of the cell or
+    no convergence.  Nothing here is exact: callers confirm the answer by
+    exact signs.
+    """
+    den = lo.denominator
+    try:
+        p_float, slope_float = [float(c) for c in reversed(coeffs)], [float(c) for c in reversed(slope)]
+        a, b = lo.numerator / den, hi.numerator / den
+    except OverflowError:
+        return None
+
+    def horner(high_first: Sequence[float], x: float) -> float:
+        acc = 0.0
+        for c in high_first:
+            acc = acc * x + c
+        return acc
+
+    x = (a + b) / 2
+    for _ in range(100):
+        value, derivative = horner(p_float, x), horner(slope_float, x)
+        if not (isfinite(value) and isfinite(derivative)):
+            return None
+        if value == 0:
+            break
+        if (value > 0) == (s > 0):
+            b = x
+        else:
+            a = x
+        nx = x - value / derivative if derivative else a
+        if not a < nx < b:
+            nx = (a + b) / 2
+        converged = nx == x or abs(nx - x) <= abs(nx) * 2.0**-50
+        x = nx
+        if converged:
+            break
+    # Each fixed-point Horner step is off by at most one unit, which later
+    # steps multiply by |x|: the value is off by under n max(1, |x|)^n units,
+    # and the Newton limit by that over |p'|, below 2^guard units.
+    derivative = horner(slope_float, x)
+    if derivative == 0 or not isfinite(derivative):
+        return None
+    n = len(coeffs) - 1
+    guard = max(0, n.bit_length() + n * frexp(max(1.0, abs(x)))[1] - frexp(derivative)[1] + 1) + 4
+    top = max(bits, 1) + guard
+    precisions = [top]
+    while precisions[-1] > 80:
+        precisions.append((precisions[-1] + 1) // 2)
+    num, pow2 = x.as_integer_ratio()
+    f = precisions[-1]
+    xf = (num << f) // pow2
+    for next_f in precisions[::-1] + [top] * 3:  # up to three more steps at the top
+        xf, f = xf << (next_f - f), next_f
+        derivative = _fixed_horner(slope, xf, f)
+        if derivative == 0:
+            return None
+        step = (_fixed_horner(coeffs, xf, f) << f) // derivative
+        xf -= step
+        if not (lo.numerator << f) // den <= xf <= -(-(hi.numerator << f) // den):
+            return None
+        if f == top and abs(step) <= 1 << guard:
+            return xf, f
+    return None
 
 
 def _newton_guess(
@@ -339,14 +467,20 @@ def _refine_root(
     """(index, depth) of the cell at depth max(depth, depth_k) holding the one
     root of p in cell i at depth.
 
-    Quadratic interval refinement (Abbott, ISSAC 2006) on the sign of p
-    alone: the root is simple and alone in its cell, so p changes sign across
-    it and keeps the sign of the right end s on (root, hi].  An exact Newton
-    step from the cell's midpoint names one of the 2^step subcells; it is
-    accepted only when the exact signs at the subcell's ends bracket the root,
-    and step doubles.  Otherwise the cell is halved by the sign at its
-    midpoint and step halves.  A zero sign puts the root on that grid point,
-    whose target-depth cell ends there.
+    The root is simple and alone in its cell, so p changes sign across it
+    and keeps the sign of the right end s on (root, hi].  First guess: an
+    approximate root (_approximate_root) names one of the cell's subcells at
+    depth_k, and exact signs at that subcell's two ends accept it, so a root
+    costs about two exact evaluations.  The cell's own ends are never
+    evaluated there: its left end may be a neighbour's root, and its sign
+    counts as -s.
+
+    Otherwise, quadratic interval refinement (Abbott, ISSAC 2006) on the
+    sign of p alone: an exact Newton step from the cell's midpoint names one
+    of the 2^step subcells; it is accepted only when the exact signs at the
+    subcell's ends bracket the root, and step doubles.  Otherwise the cell
+    is halved by the sign at its midpoint and step halves.  A zero sign puts
+    the root on that grid point, whose target-depth cell ends there.
     """
     if depth >= depth_k:
         return i, depth
@@ -357,6 +491,23 @@ def _refine_root(
     s = _sign_at(coeffs, point(i + 1, depth))
     if s == 0:
         return ending_at(i + 1, depth)
+    step = depth_k - depth
+    lo, hi = point(i, depth), point(i + 1, depth)
+    span = hi.numerator - lo.numerator  # the subcells are span / (den 2^step) wide
+    bits = lo.denominator.bit_length() + step - span.bit_length() + 3  # 2^-bits <= a quarter of that
+    guess = _approximate_root(coeffs, slope, lo, hi, s, bits)
+    if guess is not None:
+        x, f = guess
+        j = ((x * lo.denominator - (lo.numerator << f)) << step) // (span << f)
+        j = min(max(j, 0), (1 << step) - 1)
+        first = i << step
+        s_left = -s if j == 0 else _sign_at(coeffs, point(first + j, depth_k))
+        if s_left == 0:
+            return first + j - 1, depth_k
+        if s_left == -s:
+            s_right = s if j == (1 << step) - 1 else _sign_at(coeffs, point(first + j + 1, depth_k))
+            if s_right != -s:  # s, or 0 with the root on the subcell's right end
+                return first + j, depth_k
     step = 2
     while depth < depth_k:
         step = min(step, depth_k - depth)

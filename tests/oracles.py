@@ -150,26 +150,33 @@ def oracle_sturm_chain(p) -> list:
 def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fraction]]:
     """Enclosures (lo, hi] of the real roots of a Polynomial by plain Sturm bisection.
 
-    The whole chain is evaluated exactly at both ends of every cell,
-    and every cell holding a root is halved until it is at most
-    max(1, B) / 2^precision_bits wide (B the Cauchy bound) and holds one
-    root.  Cells start from [-B-1, B+1] and always split at their midpoint.
+    Cells start from [-B-1, B+1] and always split at their midpoint; every
+    cell holding a root is halved until it is at most max(1, B) /
+    2^precision_bits wide (B the Cauchy bound) and holds one root.  The
+    whole chain is evaluated exactly at both ends of every cell until it
+    holds one root; from there each half is chosen by the exact sign, at
+    the midpoint, of the squarefree part of p (p over the chain's last
+    element), whose roots are all simple.
     """
-    # Positive rescalings keep every sign: integer coefficients, lowest first.
-    integer_chain = []
-    for q in oracle_sturm_chain(p):
+    chain = oracle_sturm_chain(p)
+
+    def integers(q) -> list[int]:
+        """A positive rescaling, which keeps every sign: integer coefficients, lowest first."""
         scale = 1
         for c in q.coeffs:
             scale = scale * c.denominator // gcd(scale, c.denominator)
-        integer_chain.append([int(c * scale) for c in q.coeffs])
+        return [int(c * scale) for c in q.coeffs]
+
+    def sign(q: list[int], x: Fraction) -> int:
+        num, den = x.numerator, x.denominator
+        value = sum(c * num**i * den ** (len(q) - 1 - i) for i, c in enumerate(q))
+        return (value > 0) - (value < 0)
+
+    integer_chain = [integers(q) for q in chain]
+    squarefree = integers(p.divmod(chain[-1])[0])
 
     def variations(x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        values = [
-            sum(c * num**i * den ** (len(q) - 1 - i) for i, c in enumerate(q))
-            for q in integer_chain
-        ]
-        signs = [v > 0 for v in values if v != 0]
+        signs = [v for v in (sign(q, x) for q in integer_chain) if v != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     lead = p.coeffs[-1]
@@ -182,7 +189,17 @@ def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fr
         count = variations(a) - variations(b)
         if count == 0:
             continue
-        if count == 1 and b - a <= target:
+        if count == 1:
+            # One simple root r of the squarefree part in (a, b]: it has the
+            # sign at b on (r, b] and the other one on (a, r).
+            sign_b = sign(squarefree, b)
+            while b - a > target:
+                mid = (a + b) / 2
+                sign_mid = sign(squarefree, mid)
+                if sign_b != 0 and sign_mid != -sign_b:  # r <= mid
+                    b, sign_b = mid, sign_mid
+                else:
+                    a = mid
             done.append((a, b))
             continue
         mid = (a + b) / 2

@@ -66,6 +66,18 @@ class TestDet:
         assert out == ""
         assert json.loads(err)["kind"]
 
+    def test_empty_sequence_says_no_terms_are_known(self, tmp_path, capsys):
+        path = write_json(tmp_path, "s.json", {"sequence": []})
+        code, out, err = run(capsys, ["det", path])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "needs moment index 0 but no terms are known",
+            "kind": "index_out_of_range",
+            "needed": 0,
+            "horizon": 0,
+        }
+
 
 class TestPoly:
     def test_default_depth(self, tmp_path, capsys):
@@ -361,14 +373,30 @@ def pinned_moments(r):
     return [str(sum((w * x**n for x, w in atoms), Fraction(0))) for n in range(2 * r + 2)]
 
 
+# Atoms -9/7, 0, 1/7, 5/7, 2 with weights 2, 1, 3, 1, 1/2: the root 0 is a grid
+# point and the left end of the cell that isolates 1/7.
+ATOM_AT_ZERO = [(Fraction(-9, 7), 2), (Fraction(0), 1), (Fraction(1, 7), 3), (Fraction(5, 7), 1), (Fraction(2), Fraction(1, 2))]
+
+
 class TestMeasurePinnedOutput:
     @pytest.mark.parametrize("r", [3, 7, 12])
-    @pytest.mark.parametrize("bits", [256, 64])  # at 64 bits the residual misses 1e-20: exit 4
+    @pytest.mark.parametrize("bits", [256, 64, 1024])  # at 64 bits the residual misses 1e-20: exit 4
     def test_byte_identical(self, tmp_path, capsys, r, bits):
         expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))[f"rank{r}-{bits}bits"]
         path = write_json(tmp_path, "s.json", {"sequence": pinned_moments(r)})
         code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits)])
-        assert code == expected["exit"] == (0 if bits == 256 else 4)
+        assert code == expected["exit"] == (4 if bits == 64 else 0)
+        assert out == expected["stdout"]
+        assert err == expected["stderr"]
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_atom_at_zero_byte_identical(self, tmp_path, capsys, bits):
+        # --tol 1e-10 lets the 64-bit run print its enclosures too.
+        expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))[f"atom-at-zero-{bits}bits"]
+        moments = moments_of_atoms(ATOM_AT_ZERO, 2 * len(ATOM_AT_ZERO) + 1)
+        path = write_json(tmp_path, "s.json", {"sequence": [str(t) for t in moments.terms]})
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits), "--tol", "1e-10"])
+        assert code == expected["exit"] == 0
         assert out == expected["stdout"]
         assert err == expected["stderr"]
 

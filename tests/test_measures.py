@@ -160,16 +160,22 @@ class TestRootIsolation:
             for x, interval in zip(locations, intervals):
                 assert interval.lo < x <= interval.hi
 
-    def test_refinement_uses_few_exact_evaluations(self, monkeypatch):
-        # Rank 12, atoms n/7, 256 bits: from its isolating cell each root is
-        # about 244 halvings from the target width, so a refinement that
-        # falls back to bisection makes at least that many evaluations.
-        evaluations, refining = [0], [False]
-        sign_at, refine_root = measures._sign_at, measures._refine_root
+    @staticmethod
+    def count_refinement(monkeypatch):
+        """Counters of exact signs made inside _refine_root, Sturm-chain
+        evaluations and exact Newton steps, installed on the measures module."""
+        counts = {"signs": 0, "chains": 0, "newton": 0}
+        refining = [False]
+        sign_at, sign_changes = measures._sign_at, measures._sign_changes
+        refine_root, newton_guess = measures._refine_root, measures._newton_guess
 
         def counting_sign_at(coeffs, x):
-            evaluations[0] += refining[0]
+            counts["signs"] += refining[0]
             return sign_at(coeffs, x)
+
+        def counting_sign_changes(chain, x):
+            counts["chains"] += 1
+            return sign_changes(chain, x)
 
         def flagged_refine_root(*args):
             refining[0] = True
@@ -178,27 +184,42 @@ class TestRootIsolation:
             finally:
                 refining[0] = False
 
-        monkeypatch.setattr(measures, "_sign_at", counting_sign_at)
-        monkeypatch.setattr(measures, "_refine_root", flagged_refine_root)
-        s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
-        assert recover_measure(s, 256).r == 12
-        assert 0 < evaluations[0] <= 24 * 12
-
-    def test_refinement_takes_few_newton_steps(self, monkeypatch):
-        # Same measure: Newton steps that land converge quadratically, so about
-        # log2(244) of them reach the target; a guess that keeps missing its
-        # cell falls back to one halving per step.
-        steps = [0]
-        newton_guess = measures._newton_guess
-
         def counting_newton_guess(*args):
-            steps[0] += 1
+            counts["newton"] += 1
             return newton_guess(*args)
 
+        monkeypatch.setattr(measures, "_sign_at", counting_sign_at)
+        monkeypatch.setattr(measures, "_sign_changes", counting_sign_changes)
+        monkeypatch.setattr(measures, "_refine_root", flagged_refine_root)
         monkeypatch.setattr(measures, "_newton_guess", counting_newton_guess)
+        return counts
+
+    def test_refinement_uses_few_exact_evaluations(self, monkeypatch):
+        # Rank 12, atoms n/7, 256 bits: from its isolating cell each root is
+        # about 244 halvings from the target width.  An approximate root names
+        # the target cell and exact signs at its two ends confirm it, after
+        # one exact sign at the isolating cell's right end.
+        counts = self.count_refinement(monkeypatch)
         s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
         assert recover_measure(s, 256).r == 12
-        assert 0 < steps[0] <= 16 * 12
+        assert 0 < counts["signs"] <= 3 * 12
+        assert counts["newton"] == 0
+        # The Cauchy bound is about 1743 and Fujiwara's 2^6: bisection from
+        # [-B-1, B+1] makes 23 chain evaluations, from the two cells next to 0
+        # that cover (-2^6, 2^6) 17.
+        assert counts["chains"] <= 17
+
+    def test_refinement_takes_few_newton_steps(self, monkeypatch):
+        # Same measure with no approximate root, so quadratic interval
+        # refinement does it all: Newton steps that land converge
+        # quadratically, so about log2(244) of them reach the target; a guess
+        # that keeps missing its cell falls back to one halving per step.
+        counts = self.count_refinement(monkeypatch)
+        monkeypatch.setattr(measures, "_approximate_root", lambda *args: None)
+        s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
+        assert recover_measure(s, 256).r == 12
+        assert 0 < counts["newton"] <= 16 * 12
+        assert 0 < counts["signs"] <= 24 * 12
 
     def test_json(self):
         payload = isolate_real_roots(Polynomial([-2, 1]), 64)[0].to_json()
@@ -275,6 +296,61 @@ class TestRefinementAgainstBisection:
         expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
         assert intervals == expected
         assert len(intervals) == p.degree
+
+
+# Roots of the benchmark's measure documents: 3 to 12 distinct atoms n/7 in
+# [-60/7, 60/7], 0 among them or not.  P_r is a positive multiple of the
+# product of x - atom, so the atoms alone fix its enclosures.
+workload_atoms = st.lists(st.integers(-60, 60).map(lambda n: F(n, 7)), min_size=3, max_size=12, unique=True)
+
+
+class TestIsolationAgainstOracle:
+    """Fujiwara start and approximate roots confirmed by exact signs, against plain bisection."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(workload_atoms, st.sampled_from([64, 256, 1024]))
+    # 0 is a grid point, and the left end of the cell that isolates 1/7.
+    @example([F(-9, 7), F(0), F(1, 7), F(5, 7), F(2)], 64)
+    @example([F(-9, 7), F(0), F(1, 7), F(5, 7), F(2)], 256)
+    # Coefficients past 2^1100 overflow floats: exact refinement alone.
+    @example([F(-3), F(1, 7), F(1, 3**700), F(4)], 64)
+    # Two roots 2^-70 apart: their isolating cells are below float resolution.
+    @example([F(-2), F(1, 7), F(1, 7) + F(1, 2**70), F(3)], 256)
+    def test_workload_shaped_roots(self, atoms, bits):
+        atoms = sorted(atoms)
+        p = linear_product(atoms)
+        intervals = isolate_real_roots(p, bits)
+        assert intervals == [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
+        assert all(iv.lo < x <= iv.hi for x, iv in zip(atoms, intervals))
+
+    @pytest.mark.parametrize("bits", [10, 30])
+    def test_target_cells_wider_than_one(self, bits):
+        # The Cauchy bound is about 2^48, so target cells are about 2^(49 - bits)
+        # wide, and the approximation aims no finer than that.
+        p = linear_product([F(-25000), F(-4750), F(-11000, 7), F(1400)]) * -3
+        assert isolate_real_roots(p, bits) == [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
+
+    def test_a_guess_on_a_neighbours_root_is_rejected(self, monkeypatch):
+        # Every guess is 0, a root of p and the left end of the cell that
+        # isolates 1/7: that end counts as the sign left of 1/7, so the guess
+        # is rejected there and the exact refinement finds the cell.
+        monkeypatch.setattr(measures, "_approximate_root", lambda *args: (0, 0))
+        p = linear_product([F(-9, 7), F(0), F(1, 7), F(5, 7), F(2)])
+        assert isolate_real_roots(p, 64) == [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, 64)]
+
+    def test_overflowing_coefficients_fall_back_to_exact_refinement(self, monkeypatch):
+        guesses = []
+        approximate_root = measures._approximate_root
+
+        def recording(*args):
+            guesses.append(approximate_root(*args))
+            return guesses[-1]
+
+        monkeypatch.setattr(measures, "_approximate_root", recording)
+        p = linear_product([F(-3), F(1, 7), F(1, 3**700), F(4)])
+        assert max(abs(c) for c in measures._sturm_chain(p)[0]) > 2**1100
+        assert len(isolate_real_roots(p, 64)) == 4
+        assert guesses and all(guess is None for guess in guesses)
 
 
 # (x - root)^multiplicity factors, optionally times x^2 + k (no real roots),
