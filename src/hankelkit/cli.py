@@ -17,7 +17,7 @@ string, exact rationals as "p/q" and reals as decimals.  Results go to
 standard output only; errors are machine-readable JSON on standard error.
 Exit codes: 0 success, 1 usage, 2 parse, 3 precondition violation,
 4 precision exhausted.  Input lists and --len / --max-n are capped at
-MAX_TERMS.
+MAX_TERMS, and an empty "sequence" is a parse error.
 
 main builds its parser on first use and keeps it for the life of the process:
 building it costs about a third of a short document's whole run, and argparse
@@ -54,8 +54,7 @@ MEASURE_TOLERANCE = "1e-20"
 MAX_PRECISION_BITS = 65536
 # The most entries an input list (sequence, target, Jacobi a or b) may have, and the
 # largest --len or --max-n.  At 200 random one-digit rationals every command takes
-# under 4 s on a 2-vCPU host (jacobi --invert about 1 s), except that solve
-# --construct on exact targets passes a minute from about 50 entries (its certificate).
+# under 4 s on a 2-vCPU host (jacobi --invert about 1 s).
 MAX_TERMS = 200
 
 
@@ -162,6 +161,8 @@ def _load_json(path: str):
     for key, value in doc.items() if isinstance(doc, dict) else ():
         if isinstance(value, list) and len(value) > MAX_TERMS:
             raise ParseError(f'"{key}" has {len(value)} entries; at most {MAX_TERMS} are allowed')
+    if isinstance(doc, dict) and doc.get("sequence") == []:
+        raise ParseError('"sequence" is empty; at least one term is needed')
     return doc
 
 

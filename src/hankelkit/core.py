@@ -15,9 +15,8 @@ term by term, as the prescribed-determinant solvers do, feed one scanner
 instead of rescanning their growing prefix.  One
 fraction-free (Bareiss) elimination
 kernel, on rows cleared to integers, serves everything else: determinants
-and single minors (:func:`hankel_minor`), rank, solves, maximal minors, and
-the exact inverse-problem certificate.  It is also the independent route
-the tests check the pass against.
+and single minors (:func:`hankel_minor`), rank, solves and maximal minors.
+It is also the independent route the tests check the pass against.
 
 All statements about "all n" are certified only up to the prefix horizon
 (the number of known terms); results carry that horizon where relevant.

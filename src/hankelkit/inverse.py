@@ -22,18 +22,22 @@ and each step reads the extension's recurrence d_k = -p_{r,k}/D_{r-1} off its
 P_r, r = n_k + 1, once s_0..s_{2r-1} are in.  Otherwise the construction
 restarts in big-float arithmetic at a configurable precision and solves for
 the recurrence with partial pivoting.  Either way one certificate checks a
-solution before it is returned: it recomputes every D_n by Bareiss
-elimination, independent of the scan and the gap formulas, on exact
-rationals.  In exact mode these are the terms themselves, and every D_n must
-equal t_n.  In big-float mode they are the decimals the solution prints as,
-read back exactly, so the certified residual max |D_n - t_n| / max(1, |t_n|)
-is the exact residual of the printed solution, rounded up; it must not
-exceed the requested tolerance.
+solution before it is returned, on exact rationals: in exact mode the terms
+themselves, in big-float mode the decimals the solution prints as, read back
+exactly.  A scan of those rationals (in exact mode the construction's own,
+run on to the last term) offers each full-degree P_r as a witness; the
+certificate checks it by integer dot products L(x^j P_r) and proves every
+D_n from the checked witnesses and the gap formula, so it trusts no value
+the scan computed.  In exact mode every D_n must equal t_n.  In big-float
+mode the certified residual max |D_n - t_n| / max(1, |t_n|) is the exact
+residual of the printed solution, rounded up; it must not exceed the
+requested tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from decimal import Decimal
@@ -44,7 +48,7 @@ from mpmath import mp
 from mpmath.libmp import from_rational, round_ceiling
 
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
-from .core import HankelScanner, MomentSequence, fraction_free_det, hankel_matrix
+from .core import HankelScanner, MomentSequence, scale_to_integers
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -235,9 +239,10 @@ class InverseSolution:
     """A verified solution of the prescribed-determinant problem.
 
     terms holds Fractions in exact mode and mpmath floats in bigfloat mode.
-    certificate holds D_0..D_N recomputed exactly from the solution as
-    to_json prints it (the terms themselves in exact mode, their printed
-    decimals in bigfloat mode), and max_residual bounds the largest
+    certificate holds D_0..D_N of the solution as to_json prints it (the
+    terms themselves in exact mode, their printed decimals in bigfloat mode),
+    each proved exactly from witness polynomials P_r that the certificate
+    checked against those terms, and max_residual bounds the largest
     |D_n - t_n| / max(1, |t_n|) of those D_n: it is 0 in exact mode, and in
     bigfloat mode that exact value rounded up at precision_bits.
     """
@@ -273,17 +278,21 @@ class InverseSolution:
 
 def _construct(
     targets: TargetSequence, policy: FreePolicy, exact: bool, bits: int, tol: str
-) -> list:
+) -> tuple[list, Optional[HankelScanner]]:
     """Run the inductive construction in one arithmetic (exact or big-float).
 
-    A big-float recurrence system that is singular at the working precision
-    raises PrecisionExhausted: more bits may separate its pivots from zero.
+    Returns the terms and, in exact mode, the scanner that took them as the
+    construction fixed them (None in big-float mode and for the all-zero
+    target); it may not have taken the last terms yet.  A big-float
+    recurrence system that is singular at the working precision raises
+    PrecisionExhausted: more bits may separate its pivots from zero.
     """
     support = targets.support
     n_top = len(targets) - 1
     if not support:  # the all-zero target: the zero sequence
-        return [Fraction(0)] * max(2 * n_top + 1, 0)
+        return [Fraction(0)] * max(2 * n_top + 1, 0), None
     draws = policy.stream()
+    scanner = None
 
     if exact:
         zero = Fraction(0)
@@ -353,19 +362,70 @@ def _construct(
         rec = recurrence(s, last + 1)
         sigma = _extension_values(s, rec, 2 * n_top)
         s.extend(sigma[2 * last + 2 :])
-    return s
+    return s, scanner
 
 
-def _certify(terms: Sequence[Fraction], targets: TargetSequence) -> tuple[tuple, Fraction]:
-    """Every D_n of the terms, by Bareiss elimination, and the exact largest
-    |D_n - t_n| / max(1, |t_n|).  Bareiss is independent of the gap formulas
-    the construction (and ``hankel_det``) rely on."""
-    seq = MomentSequence(tuple(terms))
-    dets = tuple([fraction_free_det(hankel_matrix(seq, n)) for n in range(len(targets))])
+def _certify(
+    terms: Sequence[Fraction], targets: TargetSequence, scanner: Optional[HankelScanner] = None
+) -> tuple[tuple, Fraction]:
+    """Every D_n of the terms, proved by witnesses, and the exact largest
+    |D_n - t_n| / max(1, |t_n|).
+
+    The witnesses are the polynomials P_r of a scan: the given scanner, first
+    extended over the terms it has not taken, or a new scan of the terms.
+    Nothing the scan computed is trusted.  Each check is an integer dot
+    product L(x^j P) = sum_i p_i s_{i+j} over the lcm-scaled terms.  From
+    D_{-1} = 1 and P_0 = 1, at each full-degree index r:
+
+    (a) P_r must have degree r, leading coefficient the D_{r-1} proved here
+        (nonzero), and L(x^j P_r) = 0 for j < r;
+    (b) if j >= r is the first index with u = L(x^j P_r) != 0, then P_r is a
+        kernel vector of H_m, so D_m = 0, for r <= m < j;
+    (c) D_j = (-1)^{g(g-1)/2} u^g / D_{r-1}^{g-1}, g = j - r + 1, and the
+        next full-degree index is j + 1.
+
+    (c) is det(T^T H_j T) = D_{r-1}^{2g} D_j for the triangular
+    T = [e_0 .. e_{r-1}, P_r, x P_r, .., x^{g-1} P_r]: the dot products of (a)
+    and (b) zero its off-diagonal blocks, and its last block is
+    anti-triangular with u D_{r-1} on the antidiagonal.  A witness that fails
+    (a) is an internal error.
+    """
+    n_top = len(targets) - 1
+    ints, scale = scale_to_integers(terms)
+    if scanner is None:
+        scanner = HankelScanner(polys=True)
+    if len(terms) > len(scanner.terms):
+        scanner.extend(terms[len(scanner.terms) :])
+
+    def dot(p: Sequence[int], j: int) -> int:
+        return sum(map(operator.mul, p, ints[j : j + len(p)]))
+
+    dets = [Fraction(0)] * len(targets)
+    r, d_prev, p, factor = 0, Fraction(1), (1,), Fraction(1)
+    while r <= n_top:
+        if r:
+            p, factor = scanner.p_int[r], scanner.p_factor[r]
+            if len(p) != r + 1 or factor * p[r] != d_prev or any(dot(p, j) for j in range(r)):
+                raise RuntimeError(
+                    f"internal error: the scan's P_{r} is not the determinantal "
+                    "polynomial of the solution"
+                )
+        j = r
+        while j <= n_top and not (u_int := dot(p, j)):
+            j += 1
+        if j > n_top:
+            break  # D_r = .. = D_N = 0
+        g = j - r + 1
+        d_prev = (factor * Fraction(u_int, scale)) ** g / d_prev ** (g - 1)
+        if (g * (g - 1) // 2) % 2:
+            d_prev = -d_prev
+        dets[j] = d_prev
+        r = j + 1
     residual = max(
-        (abs(d - t) / max(1, abs(t)) for d, t in zip(dets, targets.terms)), default=Fraction(0)
+        (abs(d - t) / max(1, abs(t)) for d, t in zip(dets, targets.terms) if d != t),
+        default=Fraction(0),
     )
-    return dets, residual
+    return tuple(dets), residual
 
 
 def solve_inverse(
@@ -388,16 +448,17 @@ def solve_inverse(
         raise NotSolvable(report)
     bits = None
     try:
-        terms = _construct(targets, free_policy, exact=True, bits=precision_bits, tol=tol)
+        terms, scanner = _construct(targets, free_policy, exact=True, bits=precision_bits, tol=tol)
+        printed = terms
     except _IrrationalRoot:
         bits = precision_bits
         with mp.workprec(bits):
-            terms = _construct(targets, free_policy, exact=False, bits=bits, tol=tol)
-    # The certificate reads the solution as to_json prints it: big floats as
-    # their decimals, read back exactly (Decimal, unlike parse_rational, takes
-    # any number of digits).
-    printed = terms if bits is None else [Fraction(Decimal(format_mpf(v, bits))) for v in terms]
-    certificate, residual = _certify(printed, targets)
+            terms, scanner = _construct(targets, free_policy, exact=False, bits=bits, tol=tol)
+        # The certificate reads the solution as to_json prints it: big floats as
+        # their decimals, read back exactly (Decimal, unlike parse_rational, takes
+        # any number of digits), and scanned afresh for witnesses.
+        printed = [Fraction(Decimal(format_mpf(v, bits))) for v in terms]
+    certificate, residual = _certify(printed, targets, scanner)
     if bits is None:
         if residual:
             n = next(n for n, d in enumerate(certificate) if d != targets[n])

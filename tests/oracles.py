@@ -8,10 +8,13 @@ by Fraction polynomial division, measure weights and residual bounds through
 mpmath's high-level mp and iv contexts, and the prescribed-determinant
 constructions by a fresh scan of the prefix at every step.  Slow but
 obviously correct at desk scale; the tests demand bit-exact agreement.
-The one exception is :func:`oracle_hankel_scan`, a frozen copy of the pass as
-it derived each block step through reduced Fraction algebra: it pins every
-field of ``hankel_scan``, the sign and content of each step's integer
-coefficients among them, which no determinant oracle sees.
+The exceptions are frozen copies of earlier production code.
+:func:`oracle_hankel_scan` is the pass as it derived each block step through
+reduced Fraction algebra: it pins every field of ``hankel_scan``, the sign
+and content of each step's integer coefficients among them, which no
+determinant oracle sees.  :func:`oracle_certify` is the inverse-problem
+certificate as one Bareiss elimination per D_n, which the witness
+certificate replaced; cofactor expansion is too slow for its solutions.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ from typing import Sequence
 from mpmath import iv, libmp, mp
 
 from hankelkit.approximants import BlockStep, StructureReport, _extension_values, recurrence_coeffs
-from hankelkit.core import HankelScan, HankelScanner, ScanStep, hankel_det, scale_to_integers
+from hankelkit.core import (
+    HankelScan,
+    HankelScanner,
+    ScanStep,
+    fraction_free_det,
+    hankel_det,
+    scale_to_integers,
+)
 from hankelkit.polynomials import poly_P, poly_Q
 from hankelkit.scalars import exact_kth_root
 
@@ -483,6 +493,18 @@ def oracle_construct(targets: Sequence[Fraction], policy) -> list[Fraction] | No
         s.append(next(draws))
         s += _extension_values(s, recurrence_coeffs(s, last + 1), 2 * n_top)[2 * last + 2 :]
     return s
+
+
+def oracle_certify(terms: Sequence[Fraction], targets: Sequence[Fraction]) -> tuple[tuple, Fraction]:
+    """The certificate solve_inverse used before its witness check: every D_n
+    of the terms by its own Bareiss elimination, and the exact largest
+    |D_n - t_n| / max(1, |t_n|)."""
+    dets = tuple([fraction_free_det(hankel_rows(terms, n)) for n in range(len(targets))])
+    residual = max(
+        (abs(d - Fraction(t)) / max(1, abs(Fraction(t))) for d, t in zip(dets, targets)),
+        default=Fraction(0),
+    )
+    return dets, residual
 
 
 # ---------------------------------------------------------------------------

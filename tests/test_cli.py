@@ -60,22 +60,21 @@ class TestDet:
         assert payload["D"] == ["1", "-1" + "0" * 8000]
 
     def test_empty_sequence_is_precondition_error(self, tmp_path, capsys):
+        # An empty sequence is rejected while the input is read, before det runs.
         path = write_json(tmp_path, "s.json", {"sequence": []})
         code, out, err = run(capsys, ["det", path])
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert json.loads(err)["kind"]
+        assert json.loads(err)["kind"] == "parse_error"
 
     def test_empty_sequence_says_no_terms_are_known(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"sequence": []})
         code, out, err = run(capsys, ["det", path])
-        assert code == 3
+        assert code == 2
         assert out == ""
         assert json.loads(err) == {
-            "error": "needs moment index 0 but no terms are known",
-            "kind": "index_out_of_range",
-            "needed": 0,
-            "horizon": 0,
+            "error": '"sequence" is empty; at least one term is needed',
+            "kind": "parse_error",
         }
 
 
@@ -549,6 +548,22 @@ class TestLengthCap:
             assert json.loads(err)["kind"] == "UsageError"
         payload = run_ok(capsys, ["approx", "--r", "2", "--len", str(MAX_TERMS), path])
         assert len(payload["sequence"]) == MAX_TERMS
+
+
+# Every command that reads {"sequence": [...]}, with the options it needs.
+SEQUENCE_COMMANDS = [["det"], ["poly"], ["jacobi"], ["approx", "--r", "1"], ["rank"], ["profile"], ["measure"]]
+
+
+class TestEmptySequence:
+    @pytest.mark.parametrize("argv", SEQUENCE_COMMANDS, ids=lambda argv: argv[0])
+    def test_rejected_as_parse_error(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path, "s.json", {"sequence": []})
+        code, out, err = run(capsys, argv + [path])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": '"sequence" is empty; at least one term is needed',
+            "kind": "parse_error",
+        }
 
 
 # Argument lists after a command and its input file; None stands for the command alone.

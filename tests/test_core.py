@@ -261,6 +261,16 @@ class TestDeterminantTransform:
         with pytest.raises(IndexOutOfRange):
             determinant_transform([])
 
+    def test_empty_says_no_terms_are_known(self):
+        with pytest.raises(IndexOutOfRange) as err:
+            determinant_transform([])
+        assert err.value.to_json() == {
+            "error": "needs moment index 0 but no terms are known",
+            "kind": "index_out_of_range",
+            "needed": 0,
+            "horizon": 0,
+        }
+
     def test_all_entries_match_oracles(self):
         rng = random.Random(5150)
         for _ in range(20):

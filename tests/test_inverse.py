@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hankelkit import (
@@ -21,7 +24,14 @@ from hankelkit import (
 )
 
 from hankelkit import inverse
-from oracles import oracle_construct, oracle_hankel_det, random_fraction, random_sequence
+from hankelkit.core import HankelScanner
+from oracles import (
+    oracle_certify,
+    oracle_construct,
+    oracle_hankel_det,
+    random_fraction,
+    random_sequence,
+)
 
 
 def random_targets(rng, n_top):
@@ -311,9 +321,9 @@ class TestCertificate:
         construct = inverse._construct
 
         def perturbed(targets, policy, exact, bits, tol):
-            terms = construct(targets, policy, exact, bits, tol)
+            terms, scanner = construct(targets, policy, exact, bits, tol)
             terms[0] += F(1, 10**20) if exact else mp.mpf("1e-20")
-            return terms
+            return terms, scanner
 
         monkeypatch.setattr(inverse, "_construct", perturbed)
 
@@ -325,6 +335,157 @@ class TestCertificate:
         with pytest.raises(PrecisionExhausted) as err:
             solve_inverse([1, 0, -2])
         assert err.value.exit_code == 4
+
+
+def printed_terms(sol) -> list:
+    """The solution as to_json prints it, read back exactly."""
+    if sol.mode == "exact":
+        return list(sol.terms)
+    return [F(Decimal(v)) for v in sol.to_json()["solution"]]
+
+
+@st.composite
+def planted_targets(draw):
+    """Solvable targets: n0 leading zeros, up to three support steps of gap
+    1-3, and a zero tail.  Each root the construction takes is a drawn
+    rational w, or, when irrational is drawn, a root of 2 or 3 (big-float
+    mode, unless the root has degree 1)."""
+    irrational = draw(st.integers(0, 2)) == 0
+
+    def power(k: int) -> F:
+        if irrational:
+            return F(draw(st.sampled_from([2, 3])))
+        w = F(draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])), draw(st.integers(1, 2)))
+        return w**k
+
+    n0 = draw(st.integers(0, 2))
+    t = [F(0)] * n0 + [(-1) ** (n0 * (n0 + 1) // 2) * power(n0 + 1)]
+    for g in draw(st.lists(st.integers(1, 3), max_size=3)):
+        t += [F(0)] * (g - 1) + [t[-1] * (-1) ** (g * (g - 1) // 2) * power(g)]
+    return t + [F(0)] * draw(st.integers(0, 2))
+
+
+policies = st.one_of(st.just(ZEROS), st.integers(0, 2**64 - 1).map(lambda seed: FreePolicy("seed", seed)))
+# Sequences with zero runs anywhere, leading ones included, of odd length 2N + 1.
+zero_run_sequences = st.lists(
+    st.sampled_from([F(0), F(0), F(0), F(1), F(-1), F(1, 2)]), min_size=1, max_size=21
+).map(lambda s: s[: len(s) - 1 + len(s) % 2])
+
+
+class TestWitnessCertificate:
+    """The witness certificate against the Bareiss oracle, and against a scan
+    whose witnesses are wrong."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_targets(), policies)
+    def test_solutions_match_the_bareiss_oracle(self, t, policy):
+        try:
+            sol = solve_inverse(t, free_policy=policy)
+        except PrecisionExhausted:
+            return  # big-float entries past 256 bits of room: no certificate to compare
+        printed = printed_terms(sol)
+        dets, residual = oracle_certify(printed, t)
+        assert sol.certificate == dets
+        assert inverse._certify(printed, TargetSequence(tuple(t))) == (dets, residual)
+        if sol.mode == "exact":
+            assert residual == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_targets(), policies, st.data())
+    def test_changed_solutions_match_the_bareiss_oracle(self, t, policy, data):
+        try:
+            printed = printed_terms(solve_inverse(t, free_policy=policy))
+        except PrecisionExhausted:
+            return
+        k = data.draw(st.integers(0, len(printed) - 1))
+        printed[k] += data.draw(st.sampled_from([F(1), F(-1), F(1, 3), -printed[k]]))
+        targets = TargetSequence(tuple(t))
+        assert inverse._certify(printed, targets) == oracle_certify(printed, t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_run_sequences)
+    def test_zero_run_sequences_match_the_bareiss_oracle(self, s):
+        targets = TargetSequence((F(0),) * (len(s) // 2 + 1))
+        assert inverse._certify(s, targets) == oracle_certify(s, targets.terms)
+
+    def test_long_exact_target(self):
+        rng = random.Random(200)
+        t = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(24)]
+        sol = solve_inverse(t)
+        assert sol.mode == "exact"
+        assert oracle_certify(sol.terms, t) == (tuple(F(v) for v in t), 0)
+
+    @staticmethod
+    def corrupt(scanner, r: int, kind: str) -> None:
+        p, factor = list(scanner.p_int[r]), scanner.p_factor[r]
+        if kind == "coefficient":
+            p[0] += 1
+        elif kind == "leading":  # 2 P_r: still orthogonal, leading coefficient 2 D_{r-1}
+            factor *= 2
+        else:  # degree r - 1
+            p = p[:r]
+        scanner.p_int[r], scanner.p_factor[r] = tuple(p), factor
+
+    # Full-degree indices 0, 1 and 3 (D_1 = 0), and s_0 != 0 in both.
+    EXACT, BIGFLOAT = [2, 0, -2, 3], [1, 0, -2, 3]
+
+    @pytest.mark.parametrize("kind", ["coefficient", "leading", "degree"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_wrong_exact_witness_is_an_internal_error(self, monkeypatch, r, kind):
+        construct = inverse._construct
+
+        def corrupted(targets, policy, exact, bits, tol):
+            terms, scanner = construct(targets, policy, exact, bits, tol)
+            scanner.extend(terms[len(scanner.terms) :])
+            self.corrupt(scanner, r, kind)
+            return terms, scanner
+
+        monkeypatch.setattr(inverse, "_construct", corrupted)
+        with pytest.raises(RuntimeError, match=rf"internal error: the scan's P_{r} "):
+            solve_inverse(self.EXACT)
+
+    @pytest.mark.parametrize("kind", ["coefficient", "leading", "degree"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_wrong_bigfloat_witness_is_an_internal_error(self, monkeypatch, r, kind):
+        corrupt = self.corrupt
+
+        class CorruptedScanner(HankelScanner):
+            def extend(self, values):
+                super().extend(values)
+                if len(self.terms) == 2 * len(TestWitnessCertificate.BIGFLOAT) - 1:
+                    corrupt(self, r, kind)  # the certificate's scan, not the exact attempt's
+                return self
+
+        assert solve_inverse(self.BIGFLOAT).mode == "bigfloat"
+        monkeypatch.setattr(inverse, "HankelScanner", CorruptedScanner)
+        with pytest.raises(RuntimeError, match=rf"internal error: the scan's P_{r} "):
+            solve_inverse(self.BIGFLOAT)
+
+    def test_scan_determinants_are_not_read(self, monkeypatch):
+        construct = inverse._construct
+
+        def wrong_values(targets, policy, exact, bits, tol):
+            terms, scanner = construct(targets, policy, exact, bits, tol)
+            scanner.extend(terms[len(scanner.terms) :])
+            scanner.d_values[:] = [d + 1 for d in scanner.d_values]
+            return terms, scanner
+
+        monkeypatch.setattr(inverse, "_construct", wrong_values)
+        assert solve_inverse(self.EXACT).certificate == tuple(F(v) for v in self.EXACT)
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_changed_exact_term_is_an_internal_error(self, monkeypatch, k):
+        # The scan took s_0..s_5 before the change; s_6 only enters D_3.
+        construct = inverse._construct
+
+        def changed(targets, policy, exact, bits, tol):
+            terms, scanner = construct(targets, policy, exact, bits, tol)
+            terms[k] += 1
+            return terms, scanner
+
+        monkeypatch.setattr(inverse, "_construct", changed)
+        with pytest.raises(RuntimeError, match="internal error"):
+            solve_inverse(self.EXACT)
 
 
 class TestFreePolicy:
