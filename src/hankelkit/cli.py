@@ -17,7 +17,8 @@ string, exact rationals as "p/q" and reals as decimals.  Results go to
 standard output only; errors are machine-readable JSON on standard error.
 Exit codes: 0 success, 1 usage, 2 parse, 3 precondition violation,
 4 precision exhausted.  Input lists and --len / --max-n are capped at
-MAX_TERMS, and an empty "sequence" is a parse error.
+MAX_TERMS, --r must lie in 1..MAX_TERMS, and an empty "sequence" is a parse
+error.
 
 main builds its parser on first use and keeps it for the life of the process:
 building it costs about a third of a short document's whole run, and argparse
@@ -53,7 +54,7 @@ MEASURE_TOLERANCE = "1e-20"
 # faster than the precision; a larger request would look like a hang.
 MAX_PRECISION_BITS = 65536
 # The most entries an input list (sequence, target, Jacobi a or b) may have, and the
-# largest --len or --max-n.  At 200 random one-digit rationals every command takes
+# largest --r, --len or --max-n.  At 200 random one-digit rationals every command takes
 # under 4 s on a 2-vCPU host (jacobi --invert about 1 s).
 MAX_TERMS = 200
 
@@ -204,10 +205,13 @@ def _dispatch(args) -> dict:
 
     if args.command == "approx":
         seq = _sequence(args.input)
+        r = _capped(args.r, "--r")
+        if r < 1:
+            raise _UsageError("--r must be >= 1")
         length = len(seq) if args.length is None else _capped(args.length, "--len")
         if length < 1:
             raise _UsageError("--len must be >= 1")
-        return approx_sequence(seq, args.r, length - 1).to_json()
+        return approx_sequence(seq, r, length - 1).to_json()
 
     if args.command == "rank":
         return hankel_rank(_sequence(args.input)).to_json()

@@ -7,10 +7,15 @@ the weight at root lambda is the partial-fraction residue
 Q_r(lambda) / P_r'(lambda), equivalently the reciprocal of the
 Christoffel-Darboux sum  sum_{k<r} P_k(lambda)^2 / (D_k D_{k-1}).
 
-Roots are isolated with exact Sturm chains over the integers (primitive
-pseudo-remainders, each a positive multiple of the rational chain's element),
-bisecting from the grid cells next to 0 that cover Fujiwara's bound on the
-roots, and each isolated (simple) root is refined by the sign of P_r alone.
+Roots are isolated by exact Sturm counts, bisecting from the grid cells next
+to 0 that cover Fujiwara's bound on the roots, and each isolated (simple)
+root is refined by the sign of P_r alone.  In a measure, P_0..P_r are
+orthogonal polynomials, so (P_r, ..., P_0) is itself a Sturm sequence for
+P_r, evaluated at each point in O(r) integer operations by the three-term
+recurrence the scan already holds as its one-step ScanSteps (Barth, Martin &
+Wilkinson 1967).  isolate_real_roots, for any polynomial, counts with a Sturm
+chain over the integers instead (primitive pseudo-remainders, each a positive
+multiple of the rational chain's element); only the counter differs.
 An approximate root (safeguarded Newton in floats, then in fixed-point
 integers at doubling precision) names the target cell, and exact integer
 signs at its two ends must confirm it; otherwise exact Newton steps propose
@@ -20,10 +25,13 @@ the enclosures are guaranteed disjoint, and only exact signs decide them: an
 approximation never reaches the output.  Weights are computed by both
 formulas on mpmath's raw mpf tuples at precision_bits, every step rounded to
 nearest (each rational converted once per measure, as mp.mpf(numerator) /
-denominator converts it), and must agree.  The recovered measure's moments
-are re-checked against the input in interval arithmetic on raw interval
-tuples at precision_bits, rounded outward at every step; the residual's upper
-end is rounded up and never rounded again.  Nothing in this module trusts an
+denominator converts it), and must agree; the Christoffel-Darboux sum runs
+through the monic pi_k = P_k / D_{k-1}, whose recurrence coefficients a_k,
+b_k are jacobi_from_moments', as sum_k pi_k(lambda)^2 / h_k with
+h_k = D_k / D_{k-1}, O(r) per atom.  The recovered measure's moments are
+re-checked against the input in interval arithmetic on raw interval tuples
+at precision_bits, rounded outward at every step; the residual's upper end
+is rounded up and never rounded again.  Nothing in this module trusts an
 unverified numeric step.
 """
 
@@ -49,7 +57,6 @@ from mpmath.libmp import (
     mpf_sign,
     mpf_sub,
     mpi_abs,
-    mpi_add,
     mpi_mul,
     mpi_sub,
     round_ceiling,
@@ -75,7 +82,7 @@ from .errors import (
     WeightMismatch,
     ZeroSequence,
 )
-from .polynomials import ZERO, Polynomial, second_kind
+from .polynomials import ZERO, Polynomial, _jacobi_read_off, second_kind
 from .rank import recurrence_holds
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -301,17 +308,32 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
     if p.is_zero() or p.degree < 1:
         raise DegreeViolation("root isolation requires degree >= 1")
     chain = _sturm_chain(p)
-    bound = cauchy_bound(p)
-    hi = bound + 1
-    target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
-    # V(-inf) and V(+inf), from each element's leading term.  No root lies
-    # outside the grid, so they stand in for V at the grid's ends: only
-    # differences of V, which count roots, are used.
+    # V(-inf) and V(+inf), from each element's leading term.
     leads = [1 if c[-1] > 0 else -1 for c in chain]
     v_lo = _changes([lead if len(c) % 2 else -lead for lead, c in zip(leads, chain)])
     v_hi = _changes(leads)
     if v_lo - v_hi < p.degree:
         raise RootCountMismatch(p.degree, v_lo - v_hi)
+    return _isolate(chain[0], lambda x: _sign_changes(chain, x), v_lo, v_hi, precision_bits)
+
+
+def _isolate(
+    coeffs: list[int],
+    sign_changes: Callable[[_Unreduced], int],
+    v_lo: int,
+    v_hi: int,
+    precision_bits: int,
+) -> list[Interval]:
+    """isolate_real_roots for the primitive integer coefficients of p (lowest
+    first), given a Sturm sequence of p as its count V of sign changes at a
+    grid point and as V(-inf), V(+inf).
+
+    No root lies outside the grid, so V(-inf) and V(+inf) stand in for V at
+    the grid's ends: only differences of V, which count roots, are used.
+    """
+    bound = max(Fraction(1), Fraction(sum(map(abs, coeffs[:-1])), abs(coeffs[-1])))  # cauchy_bound(p)
+    hi = bound + 1
+    target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
     width = 2 * hi
 
     def point(i: int, depth: int) -> _Unreduced:
@@ -320,7 +342,6 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
 
     ratio = width / target  # depth_k: the least k with 2^k >= ratio
     depth_k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    coeffs = chain[0]
     slope = [k * c for k, c in enumerate(coeffs)][1:]
     # Start at the deepest d0 <= depth_k whose cells are at least 2^e wide:
     # every root then lies in (point(half - 1), 0] or (0, point(half + 1)].
@@ -336,7 +357,7 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
         pending = [(0, 0, v_lo, v_hi)]  # (index, depth, V(left end), V(right end))
     else:
         half = 1 << (d0 - 1)  # 0 is grid point half at depth d0
-        v_zero = _sign_changes(chain, _Unreduced(0, 1))
+        v_zero = sign_changes(_Unreduced(0, 1))
         pending = [(half - 1, d0, v_lo, v_zero), (half, d0, v_zero, v_hi)]
     cells = []
     while pending:
@@ -345,7 +366,7 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
         if count == 1:
             cells.append(_refine_root(coeffs, slope, point, width, i, depth, depth_k))
         elif count > 1:
-            v_mid = _sign_changes(chain, point(2 * i + 1, depth + 1))
+            v_mid = sign_changes(point(2 * i + 1, depth + 1))
             pending.append((2 * i, depth + 1, v_left, v_mid))
             pending.append((2 * i + 1, depth + 1, v_mid, v_right))
     intervals = [Interval(Fraction(*point(i, d)), Fraction(*point(i + 1, d))) for i, d in cells]
@@ -543,6 +564,50 @@ def _refine_root(
 # ---------------------------------------------------------------------------
 
 
+def _recurrence_sign_changes(scan: HankelScan, r: int) -> Callable[[_Unreduced], int]:
+    """V(x), the sign changes of (P_r(x), ..., P_0(x)), zeros skipped, for a
+    scan of one pass with D_0..D_{r-1} > 0; O(r) integer operations per x.
+
+    P_0..P_r are then orthogonal with leading coefficients D_{k-1} > 0, so
+    the sequence is a Sturm sequence for P_r (Barth, Martin & Wilkinson
+    1967): V(x) counts the roots of P_r in (x, +inf), V(-inf) = r and
+    V(+inf) = 0.  The scan's denominators are positive, so P_k =
+    p_factor[k] p_int[k] with p_factor[k] > 0 (checked), and at x = num/den
+    the integers u_k = p_int[k](x) den^k have the signs of P_k(x).  Step k
+    of the scan says g_k p_int[k+1] = (c_0 + c_1 x) p_int[k] + c_b p_int[k-1],
+    g_k > 0 the gcd it divided out, read off the leading coefficients; so
+    g_k u_{k+1} = (c_0 den + c_1 num) u_k + c_b den^2 u_{k-1}, one exact
+    division per step.
+    """
+    p_int = scan.p_int
+    if not all(f > 0 for f in scan.p_factor[: r + 1]):
+        raise RuntimeError("internal error: a scan factor of P_0..P_r is not positive")
+    table = []
+    for k, step in enumerate(scan.steps[:r]):
+        (c_0, c_1), c_b = step.c, step.c_b
+        table.append((c_0, c_1, c_b, c_1 * p_int[k][-1] // p_int[k + 1][-1]))
+    start = p_int[0][0]
+
+    def sign_changes(x: _Unreduced) -> int:
+        num, den = x
+        den_squared = den * den
+        before, value, positive, changes = 0, start, True, 0
+        for c_0, c_1, c_b, g in table:
+            before, value = value, ((c_0 * den + c_1 * num) * value + c_b * den_squared * before) // g
+            if value and (value > 0) != positive:
+                positive, changes = not positive, changes + 1
+        return changes
+
+    return sign_changes
+
+
+def _measure_roots(scan: HankelScan, r: int, precision_bits: int) -> list[Interval]:
+    """isolate_real_roots(P_r) for a scan with D_0..D_{r-1} > 0, counting
+    with the recurrence: the same enclosures, and no Sturm chain."""
+    sign_changes = _recurrence_sign_changes(scan, r)  # checks p_int[r] has P_r's sign
+    return _isolate(_primitive(scan.p_int[r]), sign_changes, r, 0, precision_bits)
+
+
 def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> DiscreteMeasure:
     """Atoms at the roots of P_r with residue weights, double-checked.
 
@@ -550,21 +615,27 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
     Christoffel-Darboux sum) must agree within 2^-(precision_bits/2) relative
     on every atom, and every weight must be strictly positive.
 
+    Roots are isolated by the recurrence's Sturm counts (_measure_roots).
+
     All float arithmetic is on mpmath's raw mpf tuples at precision_bits,
     each operation rounded to nearest.  Every rational (a coefficient of
-    Q_r, P_r' or P_0..P_{r-1}, a norm D_k D_{k-1}, an enclosure's midpoint)
-    enters as mp.mpf(numerator) / denominator does: the numerator rounded
-    first, then divided by the exact denominator.  Polynomials are evaluated
-    in mp.polyval's Horner order, c + x * acc from the top coefficient down.
+    Q_r or P_r', a recurrence coefficient a_k or b_k, a reciprocal norm
+    D_{k-1} / D_k, an enclosure's midpoint) enters as
+    mp.mpf(numerator) / denominator does: the numerator rounded first, then
+    divided by the exact denominator.  Q_r and P_r' are evaluated in
+    mp.polyval's Horner order, c + x * acc from the top coefficient down;
+    the Christoffel-Darboux sum adds pi_k^2 (D_{k-1} / D_k) for k = 0..r-1,
+    with pi_0 = 1 and pi_{k+1} = (lambda - a_k) pi_k - b_k pi_{k-1}.
     """
     seq = as_moments(s)
     r, scan = _psd_flat_scan(seq)
     p_r = Polynomial(scan.p_coeffs(r))
     q_r = second_kind(seq, p_r)
-    intervals = isolate_real_roots(p_r, precision_bits)
+    intervals = _measure_roots(scan, r, precision_bits)
     if len(intervals) != r:
         raise RootCountMismatch(r, len(intervals))
-    d = [Fraction(1)] + list(scan.d_values)  # d[k+1] = D_k, d[0] = D_{-1}
+    a, b = _jacobi_read_off(scan, r)
+    d = (Fraction(1),) + scan.d_values  # D_{k-1} at index k
     prec = precision_bits
 
     def rounded(values: Sequence[Fraction]) -> list[tuple]:
@@ -582,16 +653,24 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
 
     q_mpf = rounded(q_r.coeffs[::-1])
     p_prime_mpf = rounded(p_r.derivative().coeffs[::-1])
-    family_mpf = [rounded(scan.p_coeffs(k)[::-1]) for k in range(r)]  # P_k has degree k: D_{k-1} > 0
-    norms = rounded([d[k + 1] * d[k] for k in range(r)])
+    # The monic pi_k = P_k / D_{k-1} follow pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1},
+    # and P_k^2 / (D_k D_{k-1}) = pi_k^2 / h_k with h_k = D_k / D_{k-1}.
+    a_mpf = rounded(a[: r - 1])
+    b_mpf = [fzero] + rounded(b[1 : r - 1])  # b_0 meets pi_{-1} = 0
+    inverse_norms = rounded([d[k] / d[k + 1] for k in range(r)])  # 1 / h_k
     atoms = []
     for index, (interval, lam) in enumerate(zip(intervals, rounded([cell.midpoint for cell in intervals]))):
-        w_residue = mpf_div(horner(q_mpf, lam), horner(p_prime_mpf, lam), prec, round_nearest)
-        cd_sum = fzero
-        for coeffs, norm in zip(family_mpf, norms):
-            value = horner(coeffs, lam)
-            term = mpf_div(mpf_mul(value, value, prec, round_nearest), norm, prec, round_nearest)
+        slope = horner(p_prime_mpf, lam)
+        if slope == fzero:  # atoms closer than the precision resolves: the residue has no value
+            raise WeightMismatch(index, "inf")
+        w_residue = mpf_div(horner(q_mpf, lam), slope, prec, round_nearest)
+        cd_sum, before, pi = fzero, fzero, fone
+        for k, inverse_norm in enumerate(inverse_norms):
+            term = mpf_mul(mpf_mul(pi, pi, prec, round_nearest), inverse_norm, prec, round_nearest)
             cd_sum = mpf_add(cd_sum, term, prec, round_nearest)
+            if k + 1 < r:
+                step = mpf_mul(mpf_sub(lam, a_mpf[k], prec, round_nearest), pi, prec, round_nearest)
+                before, pi = pi, mpf_sub(step, mpf_mul(b_mpf[k], before, prec, round_nearest), prec, round_nearest)
         w_cd = mpf_div(fone, cd_sum, prec, round_nearest)
         delta = mpf_abs(mpf_sub(w_residue, w_cd, prec, round_nearest))
         scale = mpf_abs(w_residue)
@@ -618,10 +697,11 @@ def verify_moments(
 
     Interval arithmetic on mpmath's raw interval tuples at precision_bits:
     locations enter as their full enclosures and moments as intervals, both
-    rounded outward, and every sum, product and absolute value rounds its
-    lower end down and its upper end up.  The result is the largest upper
-    end, returned as computed (never rounded again), so it is a certified
-    bound, not an estimate; callers compare it with their tolerance.
+    rounded outward, weights as points of either sign, and every sum,
+    product and absolute value rounds its lower end down and its upper end
+    up.  The result is the largest upper end, returned as computed (never
+    rounded again), so it is a certified bound, not an estimate; callers
+    compare it with their tolerance.
     """
     seq = as_moments(s)
     if precision_bits is None:
@@ -638,15 +718,20 @@ def verify_moments(
         )
 
     locations = [outward(atom.enclosure.lo, atom.enclosure.hi) for atom in measure.atoms]
-    weights = [(atom.weight.value._mpf_,) * 2 for atom in measure.atoms]
+    weights = [atom.weight.value._mpf_ for atom in measure.atoms]
+    # A weight is a point w: w [lo, hi] is [w lo, w hi] for w >= 0 and
+    # [w hi, w lo] for w < 0, each end rounded outward, as mpi_mul has it.
+    negative = [mpf_sign(w) < 0 for w in weights]
     powers = [(fone, fone)] * len(measure.atoms)
     worst = fzero
     for n in range(len(seq)):
-        total = (fzero, fzero)
+        total_lo, total_hi = fzero, fzero
         for k, (weight, location) in enumerate(zip(weights, locations)):
-            total = mpi_add(total, mpi_mul(weight, powers[k], prec), prec)
+            lo, hi = powers[k][::-1] if negative[k] else powers[k]
+            total_lo = mpf_add(total_lo, mpf_mul(weight, lo, prec, round_floor), prec, round_floor)
+            total_hi = mpf_add(total_hi, mpf_mul(weight, hi, prec, round_ceiling), prec, round_ceiling)
             powers[k] = mpi_mul(powers[k], location, prec)
-        upper = mpi_abs(mpi_sub(total, outward(seq[n], seq[n]), prec), prec)[1]
+        upper = mpi_abs(mpi_sub((total_lo, total_hi), outward(seq[n], seq[n]), prec), prec)[1]
         if mpf_gt(upper, worst):
             worst = upper
     return RealScalar(mp.make_mpf(worst), prec)

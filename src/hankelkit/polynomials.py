@@ -24,6 +24,7 @@ from typing import Iterable, Sequence, Union
 from mpmath import mp
 
 from .core import (
+    HankelScan,
     HankelScanner,
     MomentSequence,
     SequenceLike,
@@ -389,7 +390,14 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
     for n, value in enumerate(scan.d_values):
         if value == 0:
             raise NotQuasiDefinite(n)
-    a = tuple([Fraction(-step.c[0], step.c[1]) for step in scan.steps])
+    return JacobiCoeffs(*_jacobi_read_off(scan, n_terms))
+
+
+def _jacobi_read_off(scan: HankelScan, n_terms: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(a_0..a_{N-1}, b_0..b_{N-1}) of a scan whose D_0..D_{N-1} are nonzero
+    (so its first N steps are r -> r+1): a_n = -c_0/c_1 of step n, b_0 = D_0
+    and b_n = D_n D_{n-2} / D_{n-1}^2."""
+    a = tuple([Fraction(-step.c[0], step.c[1]) for step in scan.steps[:n_terms]])
     d = (Fraction(1),) + scan.d_values  # D_{n-1} at index n
     b = [d[1]]
     for n in range(1, n_terms):
@@ -398,7 +406,7 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
             cur.numerator * prev2.numerator * prev.denominator**2,
             cur.denominator * prev2.denominator * prev.numerator**2,
         ))
-    return JacobiCoeffs(a, tuple(b))
+    return a, tuple(b)
 
 
 def moments_from_jacobi(j: JacobiCoeffs) -> MomentSequence:

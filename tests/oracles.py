@@ -375,15 +375,25 @@ def oracle_measure_floats(s: Sequence[Fraction], enclosures, precision_bits: int
     raw mpf tuples, through mpmath's mp context at precision_bits.
 
     Each atom is at its enclosure's midpoint; every rational enters as
-    mp.mpf(numerator) / denominator and every polynomial goes through
-    mp.polyval.  The exact P_k, Q_r and D_k (r the number of enclosures) come
-    from the library, whose exact values the other oracles check; cofactor
-    expansion is too slow past order 8.
+    mp.mpf(numerator) / denominator.  The residue Q_r / P_r' goes through
+    mp.polyval.  The Christoffel-Darboux weight follows the library's
+    formula, since a borderline accept or refuse depends on its rounding:
+    1 / sum_k pi_k^2 (D_{k-1} / D_k) over the monic pi_k = P_k / D_{k-1},
+    with pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1}.  Here a_k is read off the
+    P_k themselves, the difference of the x^{k-1} coefficient of pi_k and
+    the x^k coefficient of pi_{k+1}, and b_k = D_k D_{k-2} / D_{k-1}^2.  The
+    exact P_k, Q_r and D_k (r the number of enclosures) come from the
+    library, whose exact values the other oracles check; cofactor expansion
+    is too slow past order 8.
     """
     r = len(enclosures)
     family = [poly_P(s, k) for k in range(r + 1)]
     q_r = poly_Q(s, r)
     d = [Fraction(1)] + [hankel_det(s, k) for k in range(r)]
+    # The coefficient of x^{k-1} in the monic pi_k (0 for pi_0).
+    second = [family[k][k - 1] / family[k][k] if k else Fraction(0) for k in range(r)]
+    a = [second[k] - second[k + 1] for k in range(r - 1)]
+    b = [d[k + 1] * d[k - 1] / (d[k] * d[k]) for k in range(1, r - 1)]  # b_1..b_{r-2}
     out = []
     with mp.workprec(precision_bits):
 
@@ -392,15 +402,16 @@ def oracle_measure_floats(s: Sequence[Fraction], enclosures, precision_bits: int
 
         q_mpf = rounded(q_r.coeffs[::-1])
         p_prime_mpf = rounded(family[r].derivative().coeffs[::-1])
-        family_mpf = [rounded(p.coeffs[::-1]) for p in family[:r]]
-        norms = rounded([d[k + 1] * d[k] for k in range(r)])
+        a_mpf, b_mpf = rounded(a), [mp.mpf(0)] + rounded(b)
+        inverse_norms = rounded([d[k] / d[k + 1] for k in range(r)])
         for cell in enclosures:
             lam = rounded([cell.midpoint])[0]
             w_residue = mp.polyval(q_mpf, lam) / mp.polyval(p_prime_mpf, lam)
-            cd_sum = mp.mpf(0)
-            for coeffs, norm in zip(family_mpf, norms):
-                value = mp.polyval(coeffs, lam)
-                cd_sum += value * value / norm
+            cd_sum, before, pi = mp.mpf(0), mp.mpf(0), mp.mpf(1)
+            for k in range(r):
+                cd_sum += pi * pi * inverse_norms[k]
+                if k + 1 < r:
+                    before, pi = pi, (lam - a_mpf[k]) * pi - b_mpf[k] * before
             out.append((lam._mpf_, w_residue._mpf_, (1 / cd_sum)._mpf_))
     return out
 

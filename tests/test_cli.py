@@ -127,6 +127,20 @@ class TestApprox:
         code, _, _ = run(capsys, ["approx", path])
         assert code == 1
 
+    @pytest.mark.parametrize("r", ["0", "-1", str(MAX_TERMS + 1), "500"])
+    def test_r_out_of_range_is_usage_error(self, tmp_path, capsys, r):
+        path = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1"]})
+        code, out, err = run(capsys, ["approx", path, "--r", r])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["kind"] == "UsageError"
+        assert "--r" in json.loads(err)["error"]
+
+    def test_r_within_range_but_past_the_prefix_is_a_precondition(self, tmp_path, capsys):
+        # --r 3 needs s_0..s_5: the input, not the flag, is at fault.
+        path = write_json(tmp_path, "s.json", {"sequence": ["2", "1", "1", "1"]})
+        code, out, _ = run(capsys, ["approx", path, "--r", "3"])
+        assert (code, out) == (3, "")
+
     def test_singular_minor_exit(self, tmp_path, capsys):
         path = write_json(tmp_path, "s.json", {"sequence": ["0", "1", "1"]})
         code, _, err = run(capsys, ["approx", path, "--r", "1"])
@@ -307,6 +321,17 @@ class TestMeasure:
         assert len(payload["atoms"]) == 2
         assert payload["precision_bits"] == 256
         assert float(payload["residual"]) < 1e-20
+
+    def test_cluster_below_the_precision_is_a_weight_mismatch(self, tmp_path, capsys):
+        # Atoms 1/2 and 1/2 + 2^-300: at 256 bits P_4' rounds to 0 at their
+        # midpoints, so the residue weight has no value; 1024 bits resolve it.
+        atoms = [(-3, 1), (Fraction(1, 2), 1), (Fraction(1, 2) + Fraction(1, 2**300), 1), (4, 1)]
+        moments = moments_of_atoms(atoms, 9)
+        path = write_json(tmp_path, "s.json", {"sequence": [str(t) for t in moments.terms]})
+        code, out, err = run(capsys, ["measure", path])
+        assert (code, out) == (4, "")
+        assert json.loads(err)["kind"] == "weight_mismatch"
+        assert run_ok(capsys, ["measure", path, "--precision-bits", "1024"])["r"] == 4
 
     def test_non_psd_exit(self, tmp_path, capsys):
         path = write_json(

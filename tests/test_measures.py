@@ -1,5 +1,6 @@
 """PSD profile checks, exact root isolation, and discrete-measure recovery."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import gcd, isqrt
@@ -14,6 +15,7 @@ from hankelkit import measures
 from hankelkit import (
     DegreeViolation,
     Interval,
+    NonPositiveWeight,
     NotPSDFlat,
     NotQuasiDefinite,
     Polynomial,
@@ -31,6 +33,7 @@ from hankelkit import (
     recover_measure,
     verify_moments,
 )
+from hankelkit.core import HankelScan, MomentSequence
 from hankelkit.measures import Atom, DiscreteMeasure
 from hankelkit.polynomials import ZERO
 from hankelkit.scalars import real_scalar
@@ -162,20 +165,24 @@ class TestRootIsolation:
 
     @staticmethod
     def count_refinement(monkeypatch):
-        """Counters of exact signs made inside _refine_root, Sturm-chain
-        evaluations and exact Newton steps, installed on the measures module."""
-        counts = {"signs": 0, "chains": 0, "newton": 0}
+        """Counters of exact signs made inside _refine_root, Sturm counts
+        (whatever the counter) and exact Newton steps, installed on the
+        measures module."""
+        counts = {"signs": 0, "counts": 0, "newton": 0}
         refining = [False]
-        sign_at, sign_changes = measures._sign_at, measures._sign_changes
+        sign_at, isolate = measures._sign_at, measures._isolate
         refine_root, newton_guess = measures._refine_root, measures._newton_guess
 
         def counting_sign_at(coeffs, x):
             counts["signs"] += refining[0]
             return sign_at(coeffs, x)
 
-        def counting_sign_changes(chain, x):
-            counts["chains"] += 1
-            return sign_changes(chain, x)
+        def counting_isolate(coeffs, sign_changes, *args):
+            def counted(x):
+                counts["counts"] += 1
+                return sign_changes(x)
+
+            return isolate(coeffs, counted, *args)
 
         def flagged_refine_root(*args):
             refining[0] = True
@@ -189,7 +196,7 @@ class TestRootIsolation:
             return newton_guess(*args)
 
         monkeypatch.setattr(measures, "_sign_at", counting_sign_at)
-        monkeypatch.setattr(measures, "_sign_changes", counting_sign_changes)
+        monkeypatch.setattr(measures, "_isolate", counting_isolate)
         monkeypatch.setattr(measures, "_refine_root", flagged_refine_root)
         monkeypatch.setattr(measures, "_newton_guess", counting_newton_guess)
         return counts
@@ -205,9 +212,9 @@ class TestRootIsolation:
         assert 0 < counts["signs"] <= 3 * 12
         assert counts["newton"] == 0
         # The Cauchy bound is about 1743 and Fujiwara's 2^6: bisection from
-        # [-B-1, B+1] makes 23 chain evaluations, from the two cells next to 0
+        # [-B-1, B+1] makes 23 Sturm counts, from the two cells next to 0
         # that cover (-2^6, 2^6) 17.
-        assert counts["chains"] <= 17
+        assert 0 < counts["counts"] <= 17
 
     def test_refinement_takes_few_newton_steps(self, monkeypatch):
         # Same measure with no approximate root, so quadratic interval
@@ -393,6 +400,87 @@ class TestIntegerSturmChain:
         assert all(gcd(*ints) == 1 for ints in chain)
 
 
+# Positive weights for up to six atoms (root_sets has at most six roots).
+positive_weights = st.fractions(F(1, 4), 9, max_denominator=4)
+atom_weights = st.lists(positive_weights, min_size=6, max_size=6)
+
+
+class TestRecurrenceCounter:
+    """Sturm counts of (P_r, .., P_0) by the scan's recurrence, against the
+    Sturm chain of P_r and plain bisection (oracle_isolate_real_roots)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(root_sets, atom_weights, st.sampled_from([64, 256]))
+    # The Cauchy bound of x^2 - x is 1, so the grid is (-2, 2] cut in
+    # quarters, halves, ..: 0 and 1 are grid points, 0 the first split.
+    @example([F(0), F(1)], [F(1)] * 6, 64)
+    @example([F(-1), F(0), F(1)], [F(1, 4), F(9), F(2)] + [F(1)] * 3, 256)
+    @example([F(-3), F(1, 2), F(1, 2) + F(1, 2**300), F(4)], [F(1)] * 6, 256)  # a 2^-300 cluster
+    @example([F(-3), F(1, 3), F(1, 3) + F(1, 2**70)], [F(5, 2), F(1, 4), F(9)] + [F(1)] * 3, 64)
+    def test_same_enclosures_and_counts(self, roots, weights, bits):
+        r = len(roots)
+        s = moments_of_atoms(list(zip(roots, weights)), 2 * r + 1)
+        rank, scan = measures._psd_flat_scan(s)
+        assert rank == r
+        p = poly_P(s, r)
+        expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
+        assert measures._measure_roots(scan, r, bits) == expected
+        assert isolate_real_roots(p, bits) == expected
+        try:
+            measure = recover_measure(s, bits)
+        except (WeightMismatch, NonPositiveWeight):
+            pass  # a cluster's weights can need more bits than its enclosures
+        else:
+            assert [atom.enclosure for atom in measure.atoms] == expected
+        # V(x) counts the roots in (x, +inf), the chain's count, at the atoms,
+        # 0, the enclosures' ends and every grid point of depth 5.
+        count, chain = measures._recurrence_sign_changes(scan, r), measures._sturm_chain(p)
+        hi = cauchy_bound(p) + 1
+        grid = [-hi + hi * i / 16 for i in range(33)]
+        for x in roots + [F(0)] + [end for cell in expected for end in (cell.lo, cell.hi)] + grid:
+            point = measures._Unreduced(x.numerator, x.denominator)
+            assert count(point) == measures._sign_changes(chain, point) == sum(1 for root in roots if root > x)
+
+    def test_cluster_recovered_at_1024_bits(self):
+        # Two atoms 2^-300 apart: at 1024 bits the weights agree as well.
+        roots = [F(-3), F(1, 2), F(1, 2) + F(1, 2**300), F(4)]
+        s = moments_of_atoms([(x, 1) for x in roots], 9)
+        measure = recover_measure(s, 1024)
+        expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(poly_P(s, 4), 1024)]
+        assert [atom.enclosure for atom in measure.atoms] == expected
+        assert all(cell.lo < x <= cell.hi for x, cell in zip(roots, expected))
+
+    def test_a_negative_scan_factor_is_an_internal_error(self):
+        # -p_factor[2] times -p_int[2] is still P_2, but the counter reads
+        # the signs of P_k off p_int alone.
+        _, scan = measures._psd_flat_scan(moments_of_atoms([(0, 1), (1, 1), (2, 1)], 7))
+        p_int, p_factor = list(scan.p_int), list(scan.p_factor)
+        p_int[2], p_factor[2] = tuple(-c for c in p_int[2]), -p_factor[2]
+        flipped = dataclasses.replace(scan, p_int=tuple(p_int), p_factor=tuple(p_factor))
+        assert flipped.p_coeffs(2) == scan.p_coeffs(2)
+        with pytest.raises(RuntimeError, match="internal error"):
+            measures._recurrence_sign_changes(flipped, 3)
+
+    def test_recover_measure_builds_no_chain(self, monkeypatch):
+        # Only P_r's coefficients are read as rationals, for Q_r and P_r'.
+        def forbidden(*args):
+            raise AssertionError("the measure path built or evaluated a Sturm chain")
+
+        read = []
+        p_coeffs = HankelScan.p_coeffs
+
+        def recording(scan, n):
+            read.append(n)
+            return p_coeffs(scan, n)
+
+        monkeypatch.setattr(measures, "_sturm_chain", forbidden)
+        monkeypatch.setattr(measures, "_sign_changes", forbidden)
+        monkeypatch.setattr(HankelScan, "p_coeffs", recording)
+        s = moments_of_atoms([(F(n, 7), 1) for n in range(-5, 7)], 25)
+        assert recover_measure(s, 256).r == 12
+        assert read == [12]
+
+
 class TestRecoverMeasure:
     def test_two_unit_atoms(self):
         measure = recover_measure([2, 1, 1, 1, 1, 1], 256)
@@ -498,6 +586,19 @@ class TestRecoverMeasure:
         assert set(atom) == {"location", "enclosure", "weight"}
 
 
+# (enclosure's left end, its width, weight): weights of either sign or 0,
+# enclosures of any sign, points among them.
+signed_atoms = st.lists(
+    st.tuples(
+        st.fractions(-5, 5, max_denominator=16),
+        st.sampled_from([F(0), F(1, 2**300), F(1, 8), F(3)]),
+        st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=7)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
 class TestVerifyMoments:
     def test_exact_synthesis_certifies_tiny_residual(self):
         s = moments_of_atoms([("-2", "1/2"), ("1/3", "2"), ("5", "1/4")], 8)
@@ -525,6 +626,25 @@ class TestVerifyMoments:
             assert bound.precision_bits == 256
             assert exact(bound.value) >= 1 - exact(weight.value)
 
+    @settings(max_examples=60, deadline=None)
+    @given(signed_atoms, st.lists(st.fractions(-9, 9, max_denominator=9), min_size=1, max_size=8),
+           st.sampled_from([64, 256]))
+    # Negative, zero and positive weights on enclosures below, around and above 0.
+    @example([(F(-2), F(1), F(-1, 3)), (F(-1, 2), F(1), F(0)), (F(1), F(0), F(5, 7))], [1, -1, 2, 0, 3], 64)
+    def test_signed_weights_against_the_iv_context(self, atoms, moments, bits):
+        # verify_moments takes any weights, not only recover_measure's
+        # positive ones: w [lo, hi] swaps its ends for w < 0.
+        measure = DiscreteMeasure(
+            atoms=tuple(
+                Atom(location=real_scalar(lo, bits), enclosure=Interval(lo, lo + width), weight=real_scalar(w, bits))
+                for lo, width, w in atoms
+            ),
+            r=len(atoms),
+        )
+        triples = [(a.enclosure.lo, a.enclosure.hi, a.weight.value) for a in measure.atoms]
+        bound = verify_moments(measure, moments, precision_bits=bits)
+        assert bound.value._mpf_ == oracle_residual_bound(triples, moments, bits)
+
 
 # r distinct atoms n/7 in [-60/7, 60/7] with weights b/c, c <= 4, r = 1..12.
 rational_measures = st.lists(
@@ -543,35 +663,98 @@ class TestAgainstMpmathContexts:
     @example([(F(n, 7), F(5 + n % 5, 1 + n % 4)) for n in range(-55, 60, 10)], 1024)
     # The two weight formulas differ by rounding alone at 64 bits (delta 2.45e-10).
     @example([(F(n, 7), F(1, 2) if n == 22 else F(1, 4)) for n in (0, 3, 9, 13, 16, 18, 20, 21, 22, 23, 24)], 64)
+    # Refused at 64 bits: at atom 9 the two formulas differ by 1.04 times the
+    # bound, where the sum of P_k^2 / (D_k D_{k-1}) by Horner would accept.
+    @example(
+        [(F(n, 7), F(w)) for n, w in ((0, "9/2"), (8, "2/3"), (14, "7/2"), (15, "1/2"), (19, "3/2"), (24, 3),
+                                      (25, "7/3"), (28, "3/4"), (30, 1), (33, 3), (34, 2), (35, 4))],
+        64,
+    )
     def test_locations_weights_and_residual_bits(self, atoms, bits):
         r = len(atoms)
-        s = moments_of_atoms(atoms, 2 * r + 1)
-        try:
-            measure = recover_measure(s, bits)
-        except WeightMismatch as exc:
-            # Refused at this precision: the oracle's two formulas must miss the same bound.
-            enclosures = isolate_real_roots(poly_P(s, r), bits)
-            _, weight, weight_cd = oracle_measure_floats(s.terms, enclosures, bits)[exc.index]
-            with mp.workprec(bits):
-                w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
-                assert abs(w - w_cd) > mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
-            return
-        assert measure.r == r
-        expected = oracle_measure_floats(s.terms, [atom.enclosure for atom in measure.atoms], bits)
-        for atom, (location, weight, weight_cd) in zip(measure.atoms, expected):
-            assert atom.location.value._mpf_ == location
-            assert atom.weight.value._mpf_ == weight
-            # The library accepted this atom, so the oracle's two formulas agree as well.
-            with mp.workprec(bits):
-                w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
-                assert abs(w - w_cd) <= mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
-        triples = [(a.enclosure.lo, a.enclosure.hi, a.weight.value) for a in measure.atoms]
-        perturbed = list(s.terms)
-        perturbed[0] -= F(1, 7)
-        perturbed[-1] += F(1, 3)
-        for target in (s.terms, perturbed):
-            bound = verify_moments(measure, target, precision_bits=bits)
-            assert bound.value._mpf_ == oracle_residual_bound(triples, target, bits)
+        assert_matches_mpmath_contexts(moments_of_atoms(atoms, 2 * r + 1), r, bits)
+
+
+def assert_matches_mpmath_contexts(s, r, bits):
+    """recover_measure and verify_moments on moments s of r atoms against
+    oracle_measure_floats and oracle_residual_bound, bit for bit; a refusal
+    must be the oracle's too.  Returns the measure, or None if refused."""
+    try:
+        measure = recover_measure(s, bits)
+    except WeightMismatch as exc:
+        # Refused at this precision: the oracle's two formulas must miss the same bound.
+        enclosures = isolate_real_roots(poly_P(s, r), bits)
+        _, weight, weight_cd = oracle_measure_floats(s.terms, enclosures, bits)[exc.index]
+        with mp.workprec(bits):
+            w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
+            assert abs(w - w_cd) > mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
+        return None
+    assert measure.r == r
+    expected = oracle_measure_floats(s.terms, [atom.enclosure for atom in measure.atoms], bits)
+    for atom, (location, weight, weight_cd) in zip(measure.atoms, expected):
+        assert atom.location.value._mpf_ == location
+        assert atom.weight.value._mpf_ == weight
+        # The library accepted this atom, so the oracle's two formulas agree as well.
+        with mp.workprec(bits):
+            w, w_cd = mp.make_mpf(weight), mp.make_mpf(weight_cd)
+            assert abs(w - w_cd) <= mp.mpf(2) ** -(bits // 2) * max(1, abs(w))
+    triples = [(a.enclosure.lo, a.enclosure.hi, a.weight.value) for a in measure.atoms]
+    perturbed = list(s.terms)
+    perturbed[0] -= F(1, 7)
+    perturbed[-1] += F(1, 3)
+    for target in (s.terms, perturbed):
+        bound = verify_moments(measure, target, precision_bits=bits)
+        assert bound.value._mpf_ == oracle_residual_bound(triples, target, bits)
+    return measure
+
+
+def power_sums(coeffs, m_max):
+    """sum of x^n over the roots x of the monic integer polynomial with
+    coeffs (lowest first), n = 0..m_max, by Newton's identities."""
+    d = len(coeffs) - 1
+    sums = [F(d)]
+    for n in range(1, m_max + 1):
+        acc = n * coeffs[d - n] if n <= d else 0
+        acc += sum(coeffs[d - i] * sums[n - i] for i in range(1, min(n - 1, d) + 1))
+        sums.append(F(-acc))
+    return sums
+
+
+# Galois orbits of irrational atoms, each its minimal polynomial (lowest
+# coefficient first): +-sqrt(2), 1 +- sqrt(3), and the three roots
+# 2 cos(2 pi k / 9) of x^3 - 3x + 1.  Rational moments need one weight per orbit.
+ORBITS = ((-2, 0, 1), (-2, -2, 1), (1, -3, 0, 1))
+irrational_measures = st.tuples(
+    st.lists(st.tuples(st.sampled_from(ORBITS), positive_weights), min_size=1, max_size=3, unique_by=lambda o: o[0]),
+    st.lists(st.tuples(st.integers(-20, 20).map(lambda n: F(n, 7)), positive_weights), max_size=3,
+             unique_by=lambda atom: atom[0]),
+)
+
+
+class TestIrrationalAtoms:
+    """Conjugate irrational atoms, the path the benchmark's n/7 atoms never take."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(irrational_measures, st.sampled_from([64, 256, 1024]))
+    @example(([(ORBITS[0], F(1)), (ORBITS[1], F(1, 3)), (ORBITS[2], F(2))], []), 256)
+    @example(([(ORBITS[0], F(1)), (ORBITS[1], F(1, 3)), (ORBITS[2], F(2))], []), 1024)
+    @example(([(ORBITS[0], F(9, 4))], [(F(0), F(1, 2)), (F(10, 7), F(3))]), 64)  # 10/7 is 0.014 from sqrt(2)
+    def test_against_oracles(self, irrational_measure, bits):
+        orbits, rational_atoms = irrational_measure
+        f = linear_product([x for x, _ in rational_atoms])
+        for coeffs, _ in orbits:
+            f = f * Polynomial(coeffs)
+        r = f.degree
+        m_max = 2 * r + 1
+        orbit_sums = [[w * p for p in power_sums(coeffs, m_max)] for coeffs, w in orbits]
+        s = moments_of_atoms(rational_atoms, m_max)
+        s = MomentSequence(tuple([t + sum(sums[n] for sums in orbit_sums) for n, t in enumerate(s.terms)]))
+        assert poly_P(s, r).monic() == f
+        measure = assert_matches_mpmath_contexts(s, r, bits)
+        if measure is not None:
+            expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(f, bits)]
+            assert [atom.enclosure for atom in measure.atoms] == expected
+            assert all(f.eval(cell.lo) * f.eval(cell.hi) < 0 or f.eval(cell.hi) == 0 for cell in expected)
 
 
 class TestCDResidual:
