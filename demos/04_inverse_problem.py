@@ -39,8 +39,9 @@ def main() -> None:
           f"({sol.mode} mode)")
     assert determinant_transform(sol.sequence).d_values == (F(2), F(1))
 
-    # Bigfloat mode: t = (1, 0, -2) forces s_3 = sqrt(2).  The solver reruns
-    # the same construction in 256-bit arithmetic, then computes every D_n
+    # Bigfloat mode: t = (1, 0, -2) forces s_3 = sqrt(2).  That root is
+    # irrational, so the solver runs the construction once, in 256-bit
+    # arithmetic, then computes every D_n
     # exactly from the decimals it prints and certifies the residual
     # max_n |D_n - t_n| / max(1, |t_n|), rounded up.
     sol = solve_inverse([1, 0, -2], precision_bits=256)

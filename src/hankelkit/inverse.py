@@ -16,22 +16,22 @@ via a real g-th root (positive branch when g is even).  Entries the
 determinants do not constrain are filled by a policy: zeros, or seeded
 pseudorandom rationals.
 
-When every required root is rational the whole run is exact: one resumable
-scan (`core.HankelScanner`) takes each entry as the construction fixes it,
-and each step reads the extension's recurrence d_k = -p_{r,k}/D_{r-1} off its
-P_r, r = n_k + 1, once s_0..s_{2r-1} are in.  Otherwise the construction
-restarts in big-float arithmetic at a configurable precision and solves for
-the recurrence with partial pivoting.  Either way one certificate checks a
-solution before it is returned, on exact rationals: in exact mode the terms
-themselves, in big-float mode the decimals the solution prints as, read back
-exactly.  A scan of those rationals (in exact mode the construction's own,
-run on to the last term) offers each full-degree P_r as a witness; the
-certificate checks it by integer dot products L(x^j P_r) and proves every
-D_n from the checked witnesses and the gap formula, so it trusts no value
-the scan computed.  In exact mode every D_n must equal t_n.  In big-float
-mode the certified residual max |D_n - t_n| / max(1, |t_n|) is the exact
-residual of the printed solution, rounded up; it must not exceed the
-requested tolerance.
+The roots depend on the target alone (`_root_steps`), so the arithmetic is
+chosen before the construction runs, once.  When every root is rational the
+run is exact: one resumable scan (`core.HankelScanner`) takes each entry as
+the construction fixes it, and each step reads the extension's recurrence
+d_k = -p_{r,k}/D_{r-1} off its P_r, r = n_k + 1, once s_0..s_{2r-1} are in.
+Otherwise the run is in big-float arithmetic at a configurable precision and
+solves for the recurrence with partial pivoting.  Either way one certificate
+checks a solution before it is returned, on exact rationals: in exact mode the
+terms themselves, in big-float mode the decimals the solution prints as, read
+back exactly.  A scan of those rationals (in exact mode the construction's
+own, run on to the last term) offers each full-degree P_r as a witness; the
+certificate checks it by integer dot products L(x^j P_r) and proves every D_n
+from the checked witnesses and the gap formula, so it trusts no value the scan
+computed.  In exact mode every D_n must equal t_n.  In big-float mode the
+certified residual max |D_n - t_n| / max(1, |t_n|) is the exact residual of
+the printed solution, rounded up; it must not exceed the requested tolerance.
 """
 
 from __future__ import annotations
@@ -137,34 +137,43 @@ class SolvabilityReport:
         }
 
 
+def _root_steps(targets: TargetSequence) -> list[tuple[Fraction, Fraction, int]]:
+    """The real roots the construction takes, as (t_a, c, k): the root is the
+    k-th root of c / t_a, with c = (-1)^{k(k-1)/2} t_b.
+
+    The first step sets s_{n_0} (t_a = 1, t_b = t_{n_0}, k = n_0 + 1); then
+    there is one step a -> b of gap k = b - a per consecutive support pair.
+    The list is empty for the all-zero target.
+    """
+    steps = []
+    a = -1  # s_{n_0} is a step from D_{-1} = 1
+    for b in targets.support:
+        k = b - a
+        c = -targets[b] if (k * (k - 1) // 2) % 2 else targets[b]
+        steps.append((targets[a] if a >= 0 else Fraction(1), c, k))
+        a = b
+    return steps
+
+
 def frobenius_check(t: TargetLike) -> SolvabilityReport:
-    """Test the sign conditions; the all-zero target is (trivially) solvable."""
+    """Test the sign conditions; the all-zero target is (trivially) solvable.
+
+    Each condition is the existence of the real root its step takes: a root
+    of even order k needs a positive radicand (-1)^{k(k-1)/2} t_b / t_a,
+    that is Delta = (-1)^{k(k-1)/2} t_b t_a > 0; odd orders always have one.
+    """
     targets = as_targets(t)
-    support = targets.support
     deltas: list[Fraction] = []
     violation: Optional[tuple[int, int, Fraction]] = None
-    delta_index = 0
-    if support:
-        n0 = support[0]
-        if (n0 + 1) % 2 == 0:
-            sign = -1 if ((n0 + 1) // 2) % 2 else 1
-            delta0 = sign * targets[n0]
-            deltas.append(delta0)
-            if delta0 <= 0:
-                violation = (0, n0 + 1, delta0)
-        delta_index = 1
-        for k in range(len(support) - 1):
-            gap = support[k + 1] - support[k]
-            if gap % 2 == 0:
-                sign = -1 if (gap // 2) % 2 else 1
-                delta = sign * targets[support[k + 1]] * targets[support[k]]
-                deltas.append(delta)
-                if delta <= 0 and violation is None:
-                    violation = (delta_index, gap, delta)
-            delta_index += 1
+    for index, (t_a, c, k) in enumerate(_root_steps(targets)):
+        if k % 2 == 0:
+            delta = c * t_a
+            deltas.append(delta)
+            if delta <= 0 and violation is None:
+                violation = (index, k, delta)
     return SolvabilityReport(
         solvable=violation is None,
-        support=support,
+        support=targets.support,
         deltas=tuple(deltas),
         violation=violation,
     )
@@ -223,10 +232,6 @@ ZEROS = FreePolicy("zeros")
 # ---------------------------------------------------------------------------
 
 
-class _IrrationalRoot(Exception):
-    """Internal: an exact-mode root does not exist in the rationals."""
-
-
 def _residual_text(value) -> str:
     """A residual to 10 digits.  It is rounded to 53 bits first: mp.nstr of a
     tiny value with a mantissa over about 14,000 bits converts an integer past
@@ -277,9 +282,15 @@ class InverseSolution:
 
 
 def _construct(
-    targets: TargetSequence, policy: FreePolicy, exact: bool, bits: int, tol: str
+    targets: TargetSequence, policy: FreePolicy, offsets: Sequence, bits: Optional[int], tol: str
 ) -> tuple[list, Optional[HankelScanner]]:
-    """Run the inductive construction in one arithmetic (exact or big-float).
+    """Run the inductive construction in one arithmetic: exact when bits is
+    None, else big-float at bits (the caller holds mp.workprec(bits)).
+
+    offsets are the roots of the _root_steps steps, in that arithmetic: the
+    first is s_{n_0}, and each later one is what step a -> b adds to the
+    extension's value at a + b + 1.  A gap-1 step is a root of order 1, so
+    it copies no extension values and draws no entries after its offset.
 
     Returns the terms and, in exact mode, the scanner that took them as the
     construction fixed them (None in big-float mode and for the all-zero
@@ -294,29 +305,20 @@ def _construct(
     draws = policy.stream()
     scanner = None
 
-    if exact:
+    if bits is None:
         zero = Fraction(0)
-
-        def lift(fr: Fraction):
-            return fr
-
+        draw = draws.__next__
         scanner = HankelScanner(polys=True)
 
         def recurrence(values: list, r: int) -> ApproxRecurrence:
             scanner.extend(values[len(scanner.terms) :])
             return _recurrence_from_p(scanner.p_coeffs(r), r)
 
-        def root(value, k: int):
-            result = exact_kth_root(value, k)
-            if result is None:
-                raise _IrrationalRoot()
-            return result
-
     else:
         zero = mp.mpf(0)
 
-        def lift(fr: Fraction):
-            return to_mpf(fr, bits)
+        def draw():
+            return to_mpf(next(draws), bits)
 
         def recurrence(values: list, r: int) -> ApproxRecurrence:
             rows = [[values[i + j] for j in range(r)] for i in range(r)]
@@ -328,33 +330,15 @@ def _construct(
                     raise PrecisionExhausted(bits, "inf", tol) from None
             return ApproxRecurrence(r, tuple(solution))
 
-        def root(value, k: int):
-            return real_kth_root(value, k, bits)
-
-    def draw():
-        return lift(next(draws))
-
-    s: list = []
     n0 = support[0]
-    s.extend(zero for _ in range(n0))
-    sign = -1 if (n0 * (n0 + 1) // 2) % 2 else 1
-    s.append(root(lift(targets[n0]) * sign, n0 + 1))
+    s: list = [zero] * n0 + [offsets[0]]
     s.extend(draw() for _ in range(n0 + 1, 2 * n0 + 1))
-
-    for k in range(len(support) - 1):
-        a, b = support[k], support[k + 1]
-        g = b - a
+    for a, b, offset in zip(support, support[1:], offsets[1:]):
         s.append(draw())  # s_{2a+1}: free, but needed to define the extension
-        rec = recurrence(s, a + 1)
-        sigma = _extension_values(s, rec, 2 * b)
-        ratio = lift(targets[b]) / lift(targets[a])
-        if g == 1:
-            s.append(sigma[2 * b] + ratio)
-        else:
-            s.extend(sigma[2 * a + 2 : a + b + 1])
-            gap_sign = -1 if (g * (g - 1) // 2) % 2 else 1
-            s.append(sigma[a + b + 1] + root(ratio * gap_sign, g))
-            s.extend(draw() for _ in range(a + b + 2, 2 * b + 1))
+        sigma = _extension_values(s, recurrence(s, a + 1), 2 * b)
+        s.extend(sigma[2 * a + 2 : a + b + 1])
+        s.append(sigma[a + b + 1] + offset)
+        s.extend(draw() for _ in range(a + b + 2, 2 * b + 1))
 
     last = support[-1]
     if last < n_top:
@@ -437,23 +421,26 @@ def solve_inverse(
     """Construct s_0..s_{2N} with D_n(s) = t_n for all n <= N.
 
     Exact mode is used when every real root the construction needs is
-    rational; otherwise the whole construction reruns in big-float arithmetic
-    (same policy draws), and the certified residual of the printed solution,
-    rounded up, must not exceed tol rounded down: else PrecisionExhausted.
-    Raises NotSolvable when the sign conditions fail.
+    rational; otherwise the construction runs once in big-float arithmetic,
+    and the certified residual of the printed solution, rounded up, must not
+    exceed tol rounded down: else PrecisionExhausted.  Raises NotSolvable
+    when the sign conditions fail.
     """
     targets = as_targets(t)
     report = frobenius_check(targets)
     if not report.solvable:
         raise NotSolvable(report)
-    bits = None
-    try:
-        terms, scanner = _construct(targets, free_policy, exact=True, bits=precision_bits, tol=tol)
+    steps = _root_steps(targets)
+    offsets = [exact_kth_root(c / t_a, k) for t_a, c, k in steps]
+    if None not in offsets:
+        bits = None
+        terms, scanner = _construct(targets, free_policy, offsets, bits, tol)
         printed = terms
-    except _IrrationalRoot:
+    else:
         bits = precision_bits
         with mp.workprec(bits):
-            terms, scanner = _construct(targets, free_policy, exact=False, bits=bits, tol=tol)
+            offsets = [real_kth_root(to_mpf(c, bits) / to_mpf(t_a, bits), k, bits) for t_a, c, k in steps]
+            terms, scanner = _construct(targets, free_policy, offsets, bits, tol)
         # The certificate reads the solution as to_json prints it: big floats as
         # their decimals, read back exactly (Decimal, unlike parse_rational, takes
         # any number of digits), and scanned afresh for witnesses.

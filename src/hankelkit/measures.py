@@ -267,11 +267,15 @@ def _sign_changes(chain: list[list[int]], x: Fraction | _Unreduced) -> int:
 
 def cauchy_bound(p: Polynomial) -> Fraction:
     """max(1, sum |p_k / p_lead|): all real roots lie within [-B, B]."""
-    if p.is_zero() or p.degree == 0:
+    return _cauchy_bound(p.coeffs)
+
+
+def _cauchy_bound(coeffs: Sequence) -> Fraction:
+    """cauchy_bound for the coefficients c_0..c_n, lowest first, c_n != 0:
+    integers or Fractions."""
+    if len(coeffs) < 2:
         return Fraction(1)
-    lead = p.leading
-    total = sum(abs(c / lead) for c in p.coeffs[:-1])
-    return max(Fraction(1), total)
+    return max(Fraction(1), Fraction(sum(map(abs, coeffs[:-1])), abs(coeffs[-1])))
 
 
 def _root_exponent(coeffs: Sequence[int]) -> Optional[int]:
@@ -331,7 +335,7 @@ def _isolate(
     No root lies outside the grid, so V(-inf) and V(+inf) stand in for V at
     the grid's ends: only differences of V, which count roots, are used.
     """
-    bound = max(Fraction(1), Fraction(sum(map(abs, coeffs[:-1])), abs(coeffs[-1])))  # cauchy_bound(p)
+    bound = _cauchy_bound(coeffs)
     hi = bound + 1
     target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
     width = 2 * hi

@@ -15,6 +15,9 @@ and content of each step's integer coefficients among them, which no
 determinant oracle sees.  :func:`oracle_certify` is the inverse-problem
 certificate as one Bareiss elimination per D_n, which the witness
 certificate replaced; cofactor expansion is too slow for its solutions.
+:func:`oracle_frobenius_check` is the sign test as it formed each Delta
+from the support by its own sign code, before ``frobenius_check`` read the
+conditions off the construction's root steps.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from mpmath import iv, libmp, mp
 
@@ -37,6 +40,7 @@ from hankelkit.core import (
     hankel_det,
     scale_to_integers,
 )
+from hankelkit.inverse import SolvabilityReport, TargetLike, as_targets
 from hankelkit.polynomials import poly_P, poly_Q
 from hankelkit.scalars import exact_kth_root
 
@@ -504,6 +508,41 @@ def oracle_construct(targets: Sequence[Fraction], policy) -> list[Fraction] | No
         s.append(next(draws))
         s += _extension_values(s, recurrence_coeffs(s, last + 1), 2 * n_top)[2 * last + 2 :]
     return s
+
+
+def oracle_frobenius_check(t: TargetLike) -> SolvabilityReport:
+    """frobenius_check as it was before the root steps: Delta_0 =
+    (-1)^{(n_0+1)/2} t_{n_0} when n_0 + 1 is even, then (-1)^{g/2} t_b t_a
+    per even-gap support pair."""
+    targets = as_targets(t)
+    support = targets.support
+    deltas: list[Fraction] = []
+    violation: Optional[tuple[int, int, Fraction]] = None
+    delta_index = 0
+    if support:
+        n0 = support[0]
+        if (n0 + 1) % 2 == 0:
+            sign = -1 if ((n0 + 1) // 2) % 2 else 1
+            delta0 = sign * targets[n0]
+            deltas.append(delta0)
+            if delta0 <= 0:
+                violation = (0, n0 + 1, delta0)
+        delta_index = 1
+        for k in range(len(support) - 1):
+            gap = support[k + 1] - support[k]
+            if gap % 2 == 0:
+                sign = -1 if (gap // 2) % 2 else 1
+                delta = sign * targets[support[k + 1]] * targets[support[k]]
+                deltas.append(delta)
+                if delta <= 0 and violation is None:
+                    violation = (delta_index, gap, delta)
+            delta_index += 1
+    return SolvabilityReport(
+        solvable=violation is None,
+        support=support,
+        deltas=tuple(deltas),
+        violation=violation,
+    )
 
 
 def oracle_certify(terms: Sequence[Fraction], targets: Sequence[Fraction]) -> tuple[tuple, Fraction]:

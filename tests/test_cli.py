@@ -539,6 +539,20 @@ class TestUsageAndParsing:
             assert error["kind"] == "UsageError"
             assert "precision" in error["error"] and "_precision" not in error["error"]
 
+    @pytest.mark.parametrize(
+        "argv, sequence, message",
+        [
+            (["poly", "--max-n", "-1"], ["2", "1", "1"], "--max-n must be >= 0"),
+            (["jacobi"], ["2"], "--max-n must be >= 1 (or provide at least 2 terms)"),
+            (["approx", "--r", "1", "--len", "0"], ["2", "1", "1"], "--len must be >= 1"),
+        ],
+    )
+    def test_count_below_its_floor_is_usage_error(self, tmp_path, capsys, argv, sequence, message):
+        path = write_json(tmp_path, "s.json", {"sequence": sequence})
+        code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": message, "kind": "UsageError"}
+
     def test_precision_floor(self, tmp_path, capsys):
         path = write_json(tmp_path, "t.json", {"target": ["1", "0", "-2"]})
         code, _, _ = run(

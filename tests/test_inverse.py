@@ -28,6 +28,7 @@ from hankelkit.core import HankelScanner
 from oracles import (
     oracle_certify,
     oracle_construct,
+    oracle_frobenius_check,
     oracle_hankel_det,
     random_fraction,
     random_sequence,
@@ -118,6 +119,21 @@ class TestFrobeniusCheck:
             "deltas": ["-1"],
             "violation": {"delta_index": 0, "gap": 2, "value": "-1"},
         }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(F(0)),
+                st.fractions(min_value=-20, max_value=20, max_denominator=9),
+            ),
+            max_size=12,
+        )
+    )
+    def test_matches_the_oracle(self, t):
+        # Half the entries are 0, so zero runs of every length, leading ones
+        # included, and unsolvable targets are common.
+        assert frobenius_check(t).to_json() == oracle_frobenius_check(t).to_json()
 
     def test_necessity_on_realized_profiles(self):
         # determinant profiles of actual sequences always satisfy the conditions
@@ -235,6 +251,22 @@ class TestSolveInverseBigfloat:
         assert sol.mode == "bigfloat"
         assert sol.max_residual < mp.mpf("1e-30")
 
+    def test_one_construction_per_solve(self, monkeypatch):
+        # The roots decide the arithmetic before the construction runs: an
+        # irrational one means one big-float run, and no exact run to discard.
+        calls = []
+        construct = inverse._construct
+
+        def counted(targets, policy, offsets, bits, tol):
+            calls.append(bits)
+            return construct(targets, policy, offsets, bits, tol)
+
+        monkeypatch.setattr(inverse, "_construct", counted)
+        assert solve_inverse([1, 0, -2]).mode == "bigfloat"
+        assert calls == [256]
+        assert solve_inverse([2, 0, -8]).mode == "exact"
+        assert calls == [256, None]
+
     def test_bigfloat_sequence_property_refused(self):
         sol = solve_inverse([1, 0, -2])
         with pytest.raises(ValueError):
@@ -320,9 +352,9 @@ class TestCertificate:
     def perturb_first_term(self, monkeypatch):
         construct = inverse._construct
 
-        def perturbed(targets, policy, exact, bits, tol):
-            terms, scanner = construct(targets, policy, exact, bits, tol)
-            terms[0] += F(1, 10**20) if exact else mp.mpf("1e-20")
+        def perturbed(targets, policy, offsets, bits, tol):
+            terms, scanner = construct(targets, policy, offsets, bits, tol)
+            terms[0] += F(1, 10**20) if bits is None else mp.mpf("1e-20")
             return terms, scanner
 
         monkeypatch.setattr(inverse, "_construct", perturbed)
@@ -434,8 +466,8 @@ class TestWitnessCertificate:
     def test_wrong_exact_witness_is_an_internal_error(self, monkeypatch, r, kind):
         construct = inverse._construct
 
-        def corrupted(targets, policy, exact, bits, tol):
-            terms, scanner = construct(targets, policy, exact, bits, tol)
+        def corrupted(targets, policy, offsets, bits, tol):
+            terms, scanner = construct(targets, policy, offsets, bits, tol)
             scanner.extend(terms[len(scanner.terms) :])
             self.corrupt(scanner, r, kind)
             return terms, scanner
@@ -453,7 +485,7 @@ class TestWitnessCertificate:
             def extend(self, values):
                 super().extend(values)
                 if len(self.terms) == 2 * len(TestWitnessCertificate.BIGFLOAT) - 1:
-                    corrupt(self, r, kind)  # the certificate's scan, not the exact attempt's
+                    corrupt(self, r, kind)  # the certificate's scan of the printed decimals
                 return self
 
         assert solve_inverse(self.BIGFLOAT).mode == "bigfloat"
@@ -464,8 +496,8 @@ class TestWitnessCertificate:
     def test_scan_determinants_are_not_read(self, monkeypatch):
         construct = inverse._construct
 
-        def wrong_values(targets, policy, exact, bits, tol):
-            terms, scanner = construct(targets, policy, exact, bits, tol)
+        def wrong_values(targets, policy, offsets, bits, tol):
+            terms, scanner = construct(targets, policy, offsets, bits, tol)
             scanner.extend(terms[len(scanner.terms) :])
             scanner.d_values[:] = [d + 1 for d in scanner.d_values]
             return terms, scanner
@@ -478,8 +510,8 @@ class TestWitnessCertificate:
         # The scan took s_0..s_5 before the change; s_6 only enters D_3.
         construct = inverse._construct
 
-        def changed(targets, policy, exact, bits, tol):
-            terms, scanner = construct(targets, policy, exact, bits, tol)
+        def changed(targets, policy, offsets, bits, tol):
+            terms, scanner = construct(targets, policy, offsets, bits, tol)
             terms[k] += 1
             return terms, scanner
 

@@ -345,6 +345,23 @@ class TestIsolationAgainstOracle:
         p = linear_product([F(-9, 7), F(0), F(1, 7), F(5, 7), F(2)])
         assert isolate_real_roots(p, 64) == [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, 64)]
 
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [F(-5, 8), F(-1, 8)],  # exact zeros at QIR subcell ends, left and right
+            [F(-3, 2), F(1)],  # an exact zero at a QIR midpoint (-3/2; 1 is off the grid)
+        ],
+    )
+    def test_roots_on_refinement_grid_points(self, monkeypatch, roots):
+        # No approximate roots: quadratic interval refinement alone meets each
+        # root as an exact zero on a grid point, whose target cell ends there.
+        monkeypatch.setattr(measures, "_approximate_root", lambda *args: None)
+        p = linear_product(roots)
+        intervals = isolate_real_roots(p, 64)
+        assert intervals == [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, 64)]
+        assert all(iv.lo < x <= iv.hi for x, iv in zip(roots, intervals))
+        assert intervals[0].hi == roots[0]
+
     def test_overflowing_coefficients_fall_back_to_exact_refinement(self, monkeypatch):
         guesses = []
         approximate_root = measures._approximate_root
