@@ -3,11 +3,13 @@
 If s_n = sum_k w_k x_k^n for finitely many atoms x_k with positive weights
 w_k, then the Hankel determinants are positive up to the number of atoms and
 zero beyond -- and that shape is also sufficient: from such a prefix the
-atoms are the roots of P_r and the weights come out of two independent
-formulas.  Root enclosures are exact rational intervals (Sturm isolation,
-then an approximate root that exact signs of P_r at the ends of its target
-cell confirm), weight and moment residuals are certified with
-outward-rounded interval arithmetic.
+atoms are the roots of P_r and the weights are the residues Q_r / P_r'.
+Root enclosures are exact rational intervals (Sturm isolation, then an
+approximate root that exact signs of P_r at the ends of its target cell
+confirm).  The atoms here are rational, so recovery is exact: each location
+is a proved root of P_r, each weight an exact rational, and the moment
+residual is computed exactly -- it is 0.  (Irrational atoms get weights from
+two formulas that must agree, and an outward-rounded interval residual.)
 """
 
 from fractions import Fraction as F
@@ -58,9 +60,9 @@ def main() -> None:
             assert abs(atom.weight.value - w) < mp.mpf("1e-70")
     print("locations and weights match the constructed measure to < 1e-70")
 
-    # verify_moments re-synthesizes every moment from the recovered measure
-    # using interval arithmetic: the returned bound is a certified upper
-    # bound on max_n |sum_k w_k x_k^n - s_n|, not an estimate.
+    # verify_moments re-synthesizes every moment from the recovered measure,
+    # here exactly from the rational atoms: the returned bound is a certified
+    # upper bound on max_n |sum_k w_k x_k^n - s_n|, not an estimate.
     bound = verify_moments(measure, s)
     with mp.workprec(256):
         print(f"certified moment residual bound: {mp.nstr(bound.value, 3)}")

@@ -222,8 +222,8 @@ def _dispatch(args) -> dict:
     if args.command == "solve":
         payload = _load_json(args.input)
         targets = TargetSequence.from_json(payload)
-        report = frobenius_check(targets)
         if not args.construct:
+            report = frobenius_check(targets)
             if not report.solvable:
                 raise NotSolvable(report)
             return report.to_json()
@@ -237,7 +237,7 @@ def _dispatch(args) -> dict:
             tol=args.tol,
         )
         result = solution.to_json()
-        result["report"] = report.to_json()
+        result["report"] = solution.report.to_json()
         return result
 
     if args.command == "measure":

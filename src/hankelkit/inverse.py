@@ -163,9 +163,14 @@ def frobenius_check(t: TargetLike) -> SolvabilityReport:
     that is Delta = (-1)^{k(k-1)/2} t_b t_a > 0; odd orders always have one.
     """
     targets = as_targets(t)
+    return _report(targets, _root_steps(targets))
+
+
+def _report(targets: TargetSequence, steps: list[tuple[Fraction, Fraction, int]]) -> SolvabilityReport:
+    """frobenius_check's report, from the target's _root_steps."""
     deltas: list[Fraction] = []
     violation: Optional[tuple[int, int, Fraction]] = None
-    for index, (t_a, c, k) in enumerate(_root_steps(targets)):
+    for index, (t_a, c, k) in enumerate(steps):
         if k % 2 == 0:
             delta = c * t_a
             deltas.append(delta)
@@ -249,7 +254,8 @@ class InverseSolution:
     each proved exactly from witness polynomials P_r that the certificate
     checked against those terms, and max_residual bounds the largest
     |D_n - t_n| / max(1, |t_n|) of those D_n: it is 0 in exact mode, and in
-    bigfloat mode that exact value rounded up at precision_bits.
+    bigfloat mode that exact value rounded up at precision_bits.  report is
+    the target's frobenius_check report, which the construction followed.
     """
 
     terms: tuple
@@ -257,6 +263,7 @@ class InverseSolution:
     precision_bits: Optional[int]
     certificate: tuple
     max_residual: object  # Fraction(0) in exact mode, mpf otherwise
+    report: SolvabilityReport
 
     @property
     def sequence(self) -> MomentSequence:
@@ -427,10 +434,10 @@ def solve_inverse(
     when the sign conditions fail.
     """
     targets = as_targets(t)
-    report = frobenius_check(targets)
+    steps = _root_steps(targets)
+    report = _report(targets, steps)
     if not report.solvable:
         raise NotSolvable(report)
-    steps = _root_steps(targets)
     offsets = [exact_kth_root(c / t_a, k) for t_a, c, k in steps]
     if None not in offsets:
         bits = None
@@ -459,4 +466,4 @@ def solve_inverse(
         if worst > mp.mpf(tol, prec=bits, rounding="d"):
             raise PrecisionExhausted(bits, _residual_text(worst), tol)
     mode = "exact" if bits is None else "bigfloat"
-    return InverseSolution(tuple(terms), mode, bits, certificate, worst)
+    return InverseSolution(tuple(terms), mode, bits, certificate, worst, report)

@@ -22,17 +22,30 @@ signs at its two ends must confirm it; otherwise exact Newton steps propose
 narrower cells that exact signs confirm (Abbott's quadratic interval
 refinement), or the cell is halved.  Every stage cuts on one dyadic grid, so
 the enclosures are guaranteed disjoint, and only exact signs decide them: an
-approximation never reaches the output.  Weights are computed by both
+approximation never reaches the output.
+
+When the roots of P_r are rational, as they are for the moments of rational
+atoms, recover_measure proves the measure exactly.  Each root is m / L for
+the leading coefficient L of the primitive integer P_r; an approximate root
+names m in each isolating cell, and P_r(m / L) = 0 must hold exactly.  r such roots in
+r disjoint cells are all the roots.  The enclosure is the target-depth cell
+that holds m / L, which is the cell refinement would end in; the weight is
+the rational Q_r(x) / P_r'(x), read by integer Horner; and verify_moments
+computes the residual exactly, 0 for the true measure, rounded up at
+precision_bits.
+
+Otherwise (an irrational root, or two roots closer than the target width)
+the same isolating cells are refined, and weights are computed by both
 formulas on mpmath's raw mpf tuples at precision_bits, every step rounded to
 nearest (each rational converted once per measure, as mp.mpf(numerator) /
 denominator converts it), and must agree; the Christoffel-Darboux sum runs
 through the monic pi_k = P_k / D_{k-1}, whose recurrence coefficients a_k,
 b_k are jacobi_from_moments', as sum_k pi_k(lambda)^2 / h_k with
 h_k = D_k / D_{k-1}, O(r) per atom.  The recovered measure's moments are
-re-checked against the input in interval arithmetic on raw interval tuples
-at precision_bits, rounded outward at every step; the residual's upper end
-is rounded up and never rounded again.  Nothing in this module trusts an
-unverified numeric step.
+then re-checked against the input in interval arithmetic on raw interval
+tuples at precision_bits, rounded outward at every step; the residual's
+upper end is rounded up and never rounded again.  Nothing in this module
+trusts an unverified numeric step.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import frexp, gcd, isfinite
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (
@@ -117,16 +130,27 @@ class Interval:
 
 @dataclass(frozen=True)
 class Atom:
+    """One point mass.  exact_location and exact_weight are set when the atom
+    is rational and proved exactly; location and weight are then their mpf
+    roundings (location that of the enclosure's midpoint, as for any atom)."""
+
     location: RealScalar
     enclosure: Interval
     weight: RealScalar
+    exact_location: Optional[Fraction] = None
+    exact_weight: Optional[Fraction] = None
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "location": self.location.to_str(),
             "enclosure": self.enclosure.to_json(),
             "weight": self.weight.to_str(),
         }
+        if self.exact_location is not None:
+            payload["exact_location"] = format_rational(self.exact_location)
+        if self.exact_weight is not None:
+            payload["exact_weight"] = format_rational(self.exact_weight)
+        return payload
 
 
 @dataclass(frozen=True)
@@ -318,7 +342,45 @@ def isolate_real_roots(p: Polynomial, precision_bits: int = DEFAULT_PRECISION_BI
     v_hi = _changes(leads)
     if v_lo - v_hi < p.degree:
         raise RootCountMismatch(p.degree, v_lo - v_hi)
-    return _isolate(chain[0], lambda x: _sign_changes(chain, x), v_lo, v_hi, precision_bits)
+    coeffs = chain[0]
+    grid = _grid(coeffs, precision_bits)
+    return _refined(coeffs, grid, _isolate(coeffs, lambda x: _sign_changes(chain, x), v_lo, v_hi, grid))
+
+
+class _Grid(NamedTuple):
+    """The dyadic grid isolation cuts on: the points -hi + width i / 2^depth
+    of [-hi, hi], hi = B + 1 for the Cauchy bound B, with cell i at depth
+    the interval (point i, point i + 1].  depth_k, the target depth, is the
+    least whose cells are at most max(1, B) 2^-precision_bits wide; only it
+    depends on the precision.
+    """
+
+    hi: Fraction
+    width: Fraction
+    depth_k: int
+
+    def point(self, i: int, depth: int) -> _Unreduced:
+        hi = self.hi
+        return _Unreduced(hi.numerator * ((i << 1) - (1 << depth)), hi.denominator << depth)
+
+    def interval(self, i: int, depth: int) -> Interval:
+        return Interval(Fraction(*self.point(i, depth)), Fraction(*self.point(i + 1, depth)))
+
+    def cell(self, num: int, den: int) -> int:
+        """The index of the cell at depth_k that holds num / den (den > 0):
+        the i with i < (x + hi) 2^depth_k / width <= i + 1, one integer ceiling."""
+        h_num, h_den = self.hi.numerator, self.hi.denominator
+        return -(-((num * h_den + h_num * den) << self.depth_k) // (2 * h_num * den)) - 1
+
+
+def _grid(coeffs: Sequence[int], precision_bits: int) -> _Grid:
+    """The grid over [-B-1, B+1], B the Cauchy bound of p, at precision_bits."""
+    bound = _cauchy_bound(coeffs)
+    hi = bound + 1
+    width = 2 * hi
+    target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
+    ratio = width / target  # depth_k: the least k with 2^k >= ratio
+    return _Grid(hi, width, (-(-ratio.numerator // ratio.denominator) - 1).bit_length())
 
 
 def _isolate(
@@ -326,27 +388,19 @@ def _isolate(
     sign_changes: Callable[[_Unreduced], int],
     v_lo: int,
     v_hi: int,
-    precision_bits: int,
-) -> list[Interval]:
-    """isolate_real_roots for the primitive integer coefficients of p (lowest
-    first), given a Sturm sequence of p as its count V of sign changes at a
-    grid point and as V(-inf), V(+inf).
+    grid: _Grid,
+) -> list[tuple[int, int]]:
+    """The isolating cells of p's roots, for its primitive integer
+    coefficients (lowest first), given a Sturm sequence of p as its count V
+    of sign changes at a grid point and as V(-inf), V(+inf): one cell
+    (index, depth) per root, in increasing order, each the first cell of the
+    bisection that holds that root alone.  A cell is deeper than
+    grid.depth_k only where two roots share a cell at depth_k.
 
     No root lies outside the grid, so V(-inf) and V(+inf) stand in for V at
     the grid's ends: only differences of V, which count roots, are used.
     """
-    bound = _cauchy_bound(coeffs)
-    hi = bound + 1
-    target = max(Fraction(1), bound) / (Fraction(2) ** precision_bits)
-    width = 2 * hi
-
-    def point(i: int, depth: int) -> _Unreduced:
-        """Grid point -hi + width * i / 2^depth; cell i at depth is (point i, point i+1]."""
-        return _Unreduced(hi.numerator * ((i << 1) - (1 << depth)), hi.denominator << depth)
-
-    ratio = width / target  # depth_k: the least k with 2^k >= ratio
-    depth_k = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    point, width, depth_k = grid.point, grid.width, grid.depth_k
     # Start at the deepest d0 <= depth_k whose cells are at least 2^e wide:
     # every root then lies in (point(half - 1), 0] or (0, point(half + 1)].
     e = _root_exponent(coeffs)
@@ -368,14 +422,14 @@ def _isolate(
         i, depth, v_left, v_right = pending.pop()
         count = v_left - v_right
         if count == 1:
-            cells.append(_refine_root(coeffs, slope, point, width, i, depth, depth_k))
+            cells.append((i, depth))
         elif count > 1:
             v_mid = sign_changes(point(2 * i + 1, depth + 1))
             pending.append((2 * i, depth + 1, v_left, v_mid))
             pending.append((2 * i + 1, depth + 1, v_mid, v_right))
-    intervals = [Interval(Fraction(*point(i, d)), Fraction(*point(i + 1, d))) for i, d in cells]
-    intervals.sort(key=lambda interval: interval.lo)
-    return intervals
+    top = max((depth for _, depth in cells), default=0)
+    cells.sort(key=lambda cell: cell[0] << (top - cell[1]))
+    return cells
 
 
 def _fixed_horner(coeffs: Sequence[int], x: int, bits: int) -> int:
@@ -483,14 +537,12 @@ def _newton_guess(
 def _refine_root(
     coeffs: Sequence[int],
     slope: Sequence[int],
-    point: Callable[[int, int], _Unreduced],
-    width: Fraction,
+    grid: _Grid,
     i: int,
     depth: int,
-    depth_k: int,
 ) -> tuple[int, int]:
-    """(index, depth) of the cell at depth max(depth, depth_k) holding the one
-    root of p in cell i at depth.
+    """(index, depth) of the cell at depth max(depth, grid.depth_k) holding
+    the one root of p in cell i at depth.
 
     The root is simple and alone in its cell, so p changes sign across it
     and keeps the sign of the right end s on (root, hi].  First guess: an
@@ -507,6 +559,7 @@ def _refine_root(
     is halved by the sign at its midpoint and step halves.  A zero sign puts
     the root on that grid point, whose target-depth cell ends there.
     """
+    point, width, depth_k = grid.point, grid.width, grid.depth_k
     if depth >= depth_k:
         return i, depth
 
@@ -605,21 +658,145 @@ def _recurrence_sign_changes(scan: HankelScan, r: int) -> Callable[[_Unreduced],
     return sign_changes
 
 
-def _measure_roots(scan: HankelScan, r: int, precision_bits: int) -> list[Interval]:
-    """isolate_real_roots(P_r) for a scan with D_0..D_{r-1} > 0, counting
-    with the recurrence: the same enclosures, and no Sturm chain."""
+def _measure_cells(scan: HankelScan, r: int, precision_bits: int) -> tuple[list[int], _Grid, list[tuple[int, int]]]:
+    """For a scan with D_0..D_{r-1} > 0: the primitive integer coefficients
+    of P_r, its grid at precision_bits, and the isolating cells of its roots
+    (_isolate), counted with the recurrence: no Sturm chain.  Refined
+    (_refined), they are isolate_real_roots(P_r)."""
     sign_changes = _recurrence_sign_changes(scan, r)  # checks p_int[r] has P_r's sign
-    return _isolate(_primitive(scan.p_int[r]), sign_changes, r, 0, precision_bits)
+    coeffs = _primitive(scan.p_int[r])
+    grid = _grid(coeffs, precision_bits)
+    return coeffs, grid, _isolate(coeffs, sign_changes, r, 0, grid)
+
+
+def _refined(coeffs: list[int], grid: _Grid, cells: Sequence[tuple[int, int]]) -> list[Interval]:
+    """Each isolating cell refined to grid.depth_k (_refine_root), as an Interval."""
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    return [grid.interval(*_refine_root(coeffs, slope, grid, i, depth)) for i, depth in cells]
+
+
+def _exact_roots(coeffs: list[int], grid: _Grid, cells: Sequence[tuple[int, int]]) -> Optional[list[int]]:
+    """m per isolating cell, the root m / L of p in the cell (L = coeffs[-1]
+    > 0); or None.
+
+    p is primitive, so each rational root has a denominator dividing L: it
+    is m / L for an integer m.  An approximate root within a quarter of 1 / L
+    (_approximate_root, after one exact sign at the cell's right end) names
+    m.  Where it does not land inside the cell (it may stop at a neighbour's
+    root on the cell's left end), the cell is refined (_refine_root) to a
+    subcell under 1 / (4L) wide, whose midpoint names m.  Then p(m / L) = 0
+    must hold exactly, by integer Horner, and m / L must lie in the cell.
+    The cells are disjoint, so r such m are r distinct roots of the
+    degree-r p: all of them.  None when a candidate fails, and at once when
+    a cell is deeper than depth_k: two roots share a cell there, so their
+    enclosures are deeper cells, which the numeric path finds.
+    """
+    if any(depth > grid.depth_k for _, depth in cells):
+        return None
+    lead = coeffs[-1]
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    narrow = grid._replace(depth_k=(4 * lead * grid.width.numerator // grid.width.denominator).bit_length())
+    roots = []
+    for i, depth in cells:
+        lo, hi = grid.point(i, depth), grid.point(i + 1, depth)
+        den = lo.denominator
+        s = _sign_at(coeffs, hi)
+        if s == 0:  # the root is the cell's right end
+            m = hi.numerator * lead // den
+        else:
+            guess = _approximate_root(coeffs, slope, lo, hi, s, lead.bit_length() + 2)
+            if guess is not None and lo.numerator << guess[1] < guess[0] * den < hi.numerator << guess[1]:
+                x, f = guess
+                m = (x * lead + (1 << (f - 1))) >> f
+            else:
+                j, d = _refine_root(coeffs, slope, narrow, i, depth)
+                ends = grid.point(j, d).numerator + grid.point(j + 1, d).numerator
+                m = (ends * lead + (den << (d - depth))) // (2 * den << (d - depth))
+        if not lo.numerator * lead < m * den <= hi.numerator * lead or _horner(coeffs, m, lead):
+            return None
+        roots.append(m)
+    return roots
+
+
+def _exact_weights(seq: MomentSequence, coeffs: list[int], roots: Sequence[int]) -> list[Fraction]:
+    """The residues Q(x) / p'(x) at the roots x = m / L of p (L = coeffs[-1]),
+    exactly: the ratio is the same for every multiple of P_r, so it is
+    taken for the primitive p.  With the moments s_k = u_k / lambda over
+    integers u, lambda Q has the integer coefficients
+    q_j = sum_{k > j} c_k u_{k-1-j}, and both sides are read by integer Horner.
+    """
+    r, lead = len(coeffs) - 1, coeffs[-1]
+    u, scale = scale_to_integers([seq[k] for k in range(r)])
+    q = [sum(coeffs[k] * u[k - 1 - j] for k in range(j + 1, r + 1)) for j in range(r)]
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    return [Fraction(_horner(q, m, lead), scale * _horner(slope, m, lead)) for m in roots]
+
+
+def _rounded(values: Sequence[Fraction], prec: int) -> list[tuple]:
+    """Each rational as mp.mpf(numerator) / denominator makes it: the
+    numerator rounded to nearest at prec, then divided, rounded to nearest."""
+    return [
+        mpf_div(from_int(v.numerator, prec, round_nearest), from_int(v.denominator), prec, round_nearest)
+        for v in values
+    ]
 
 
 def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> DiscreteMeasure:
-    """Atoms at the roots of P_r with residue weights, double-checked.
+    """Atoms at the roots of P_r with residue weights, each proved.
+
+    Roots are isolated once, by the recurrence's Sturm counts
+    (_measure_cells).  When P_r has r rational roots, each isolating cell
+    names one (_exact_roots), and the atoms are exact: every location x has
+    P_r(x) = 0, the weight is Q_r(x) / P_r'(x) as a rational, strictly
+    positive, and the enclosure is the target-depth cell that holds x,
+    found by one integer ceiling: the cell refinement would end in.  The
+    atom's location is the mpf of that enclosure's midpoint, as on the
+    numeric path, and its weight the correctly rounded mpf of the exact
+    weight; exact_location and exact_weight carry the rationals, and
+    verify_moments then checks them exactly.
+
+    Otherwise (an irrational root, or two roots closer than the target
+    width) the same isolating cells are refined to the target depth and the
+    weights are computed numerically (_numeric_measure).
+    """
+    seq = as_moments(s)
+    r, scan = _psd_flat_scan(seq)
+    coeffs, grid, cells = _measure_cells(scan, r, precision_bits)
+    if len(cells) != r:
+        raise RootCountMismatch(r, len(cells))
+    roots = _exact_roots(coeffs, grid, cells)
+    if roots is None:
+        return _numeric_measure(seq, scan, r, _refined(coeffs, grid, cells), precision_bits)
+    prec, lead = precision_bits, coeffs[-1]
+    enclosures = [grid.interval(grid.cell(m, lead), grid.depth_k) for m in roots]
+    locations = _rounded([cell.midpoint for cell in enclosures], prec)
+    weights = _exact_weights(seq, coeffs, roots)
+    atoms = []
+    for index, (m, weight, cell, lam) in enumerate(zip(roots, weights, enclosures, locations)):
+        w_mpf = from_rational(weight.numerator, weight.denominator, prec, round_nearest)
+        if weight <= 0:
+            raise NonPositiveWeight(index, mp.nstr(mp.make_mpf(w_mpf), 10))
+        atoms.append(
+            Atom(
+                location=RealScalar(mp.make_mpf(lam), prec),
+                enclosure=cell,
+                weight=RealScalar(mp.make_mpf(w_mpf), prec),
+                exact_location=Fraction(m, lead),
+                exact_weight=weight,
+            )
+        )
+    return DiscreteMeasure(atoms=tuple(atoms), r=r)
+
+
+def _numeric_measure(
+    seq: MomentSequence, scan: HankelScan, r: int, intervals: Sequence[Interval], precision_bits: int
+) -> DiscreteMeasure:
+    """Atoms at the midpoints of the enclosures of P_r's roots, with residue
+    weights, double-checked.
 
     The two weight formulas (partial-fraction residue and reciprocal
     Christoffel-Darboux sum) must agree within 2^-(precision_bits/2) relative
     on every atom, and every weight must be strictly positive.
-
-    Roots are isolated by the recurrence's Sturm counts (_measure_roots).
 
     All float arithmetic is on mpmath's raw mpf tuples at precision_bits,
     each operation rounded to nearest.  Every rational (a coefficient of
@@ -631,22 +808,11 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
     the Christoffel-Darboux sum adds pi_k^2 (D_{k-1} / D_k) for k = 0..r-1,
     with pi_0 = 1 and pi_{k+1} = (lambda - a_k) pi_k - b_k pi_{k-1}.
     """
-    seq = as_moments(s)
-    r, scan = _psd_flat_scan(seq)
     p_r = Polynomial(scan.p_coeffs(r))
     q_r = second_kind(seq, p_r)
-    intervals = _measure_roots(scan, r, precision_bits)
-    if len(intervals) != r:
-        raise RootCountMismatch(r, len(intervals))
     a, b = _jacobi_read_off(scan, r)
     d = (Fraction(1),) + scan.d_values  # D_{k-1} at index k
     prec = precision_bits
-
-    def rounded(values: Sequence[Fraction]) -> list[tuple]:
-        return [
-            mpf_div(from_int(v.numerator, prec, round_nearest), from_int(v.denominator), prec, round_nearest)
-            for v in values
-        ]
 
     def horner(coeffs: Sequence[tuple], x: tuple) -> tuple:
         """coeffs highest first, as mp.polyval takes them."""
@@ -655,15 +821,15 @@ def recover_measure(s: SequenceLike, precision_bits: int = DEFAULT_PRECISION_BIT
             acc = mpf_add(c, mpf_mul(x, acc, prec, round_nearest), prec, round_nearest)
         return acc
 
-    q_mpf = rounded(q_r.coeffs[::-1])
-    p_prime_mpf = rounded(p_r.derivative().coeffs[::-1])
+    q_mpf = _rounded(q_r.coeffs[::-1], prec)
+    p_prime_mpf = _rounded(p_r.derivative().coeffs[::-1], prec)
     # The monic pi_k = P_k / D_{k-1} follow pi_{k+1} = (x - a_k) pi_k - b_k pi_{k-1},
     # and P_k^2 / (D_k D_{k-1}) = pi_k^2 / h_k with h_k = D_k / D_{k-1}.
-    a_mpf = rounded(a[: r - 1])
-    b_mpf = [fzero] + rounded(b[1 : r - 1])  # b_0 meets pi_{-1} = 0
-    inverse_norms = rounded([d[k] / d[k + 1] for k in range(r)])  # 1 / h_k
+    a_mpf = _rounded(a[: r - 1], prec)
+    b_mpf = [fzero] + _rounded(b[1 : r - 1], prec)  # b_0 meets pi_{-1} = 0
+    inverse_norms = _rounded([d[k] / d[k + 1] for k in range(r)], prec)  # 1 / h_k
     atoms = []
-    for index, (interval, lam) in enumerate(zip(intervals, rounded([cell.midpoint for cell in intervals]))):
+    for index, (interval, lam) in enumerate(zip(intervals, _rounded([cell.midpoint for cell in intervals], prec))):
         slope = horner(p_prime_mpf, lam)
         if slope == fzero:  # atoms closer than the precision resolves: the residue has no value
             raise WeightMismatch(index, "inf")
@@ -699,13 +865,17 @@ def verify_moments(
 ) -> RealScalar:
     """Upper bound on max_n |sum_k mu_k lambda_k^n - s_n| over the prefix.
 
-    Interval arithmetic on mpmath's raw interval tuples at precision_bits:
-    locations enter as their full enclosures and moments as intervals, both
-    rounded outward, weights as points of either sign, and every sum,
-    product and absolute value rounds its lower end down and its upper end
-    up.  The result is the largest upper end, returned as computed (never
-    rounded again), so it is a certified bound, not an estimate; callers
-    compare it with their tolerance.
+    When every atom carries its exact location and weight, the residual is
+    computed exactly, on integers (_atom_moments), and rounded up at
+    precision_bits: 0 for the measure the moments came from.
+
+    Otherwise interval arithmetic on mpmath's raw interval tuples at
+    precision_bits: locations enter as their full enclosures and moments as
+    intervals, both rounded outward, weights as points of either sign, and
+    every sum, product and absolute value rounds its lower end down and its
+    upper end up.  The result is the largest upper end, returned as computed
+    (never rounded again).  Either way it is a certified bound, not an
+    estimate; callers compare it with their tolerance.
     """
     seq = as_moments(s)
     if precision_bits is None:
@@ -714,6 +884,14 @@ def verify_moments(
             default=DEFAULT_PRECISION_BITS,
         )
     prec = precision_bits
+    if all(atom.exact_location is not None and atom.exact_weight is not None for atom in measure.atoms):
+        pairs = [(atom.exact_location, atom.exact_weight) for atom in measure.atoms]
+        worst = Fraction(0)
+        for (num, den), s_n in zip(_atom_moments(pairs, len(seq) - 1), seq.terms):
+            difference = abs(num * s_n.denominator - s_n.numerator * den)
+            if difference:
+                worst = max(worst, Fraction(difference, den * s_n.denominator))
+        return RealScalar(mp.make_mpf(from_rational(worst.numerator, worst.denominator, prec, round_ceiling)), prec)
 
     def outward(lo: Fraction, hi: Fraction) -> tuple:
         return (
@@ -772,9 +950,17 @@ def moments_of_atoms(atoms: Sequence[tuple], m_max: int) -> MomentSequence:
     with recover_measure must return the same atoms.
     """
     pairs = [(parse_rational(x), parse_rational(w)) for x, w in atoms]
-    terms = []
-    powers = [Fraction(1) for _ in pairs]
+    return MomentSequence(tuple(Fraction(num, den) for num, den in _atom_moments(pairs, m_max)))
+
+
+def _atom_moments(pairs: Sequence[tuple[Fraction, Fraction]], m_max: int) -> Iterator[tuple[int, int]]:
+    """s_0..s_m_max of the atoms (x_k, w_k) as unreduced (numerator,
+    denominator) integers: with x_k = X_k / dx and w_k = W_k / dw over common
+    denominators, s_n = sum_k W_k X_k^n / (dw dx^n)."""
+    xs, dx = scale_to_integers([x for x, _ in pairs])
+    ws, dw = scale_to_integers([w for _, w in pairs])
+    powers, dx_power = [1] * len(xs), 1
     for _ in range(m_max + 1):
-        terms.append(sum((w * p for (_, w), p in zip(pairs, powers)), Fraction(0)))
-        powers = [p * x for (x, _), p in zip(pairs, powers)]
-    return MomentSequence(tuple(terms))
+        yield sum(w * power for w, power in zip(ws, powers)), dw * dx_power
+        powers = [power * x for power, x in zip(powers, xs)]
+        dx_power *= dx

@@ -2,13 +2,14 @@
 
 import argparse
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hankelkit import cli
+from hankelkit import cli, inverse
 from hankelkit.cli import (
     COMMANDS,
     MAX_PRECISION_BITS,
@@ -17,8 +18,10 @@ from hankelkit.cli import (
     build_parser,
     main,
 )
-from hankelkit.inverse import DEFAULT_TOLERANCE
+from hankelkit.inverse import DEFAULT_TOLERANCE, frobenius_check
+from hankelkit.approximants import approx_sequence
 from hankelkit.measures import moments_of_atoms
+from hankelkit.polynomials import JacobiCoeffs, moments_from_jacobi
 
 
 def write_json(tmp_path, name, payload):
@@ -206,6 +209,22 @@ class TestSolve:
         assert payload["solution"] == ["2", "0", "1/2"]
         assert payload["report"]["solvable"] is True
 
+    @pytest.mark.parametrize("target", [["2", "1"], ["1", "0", "-2"], ["1", "0", "0", "-1", "0", "2"]])
+    def test_construct_builds_one_report(self, tmp_path, capsys, monkeypatch, target):
+        # solve_inverse's own report goes to stdout; the sign conditions are read once.
+        reports = []
+        build = inverse._report
+
+        def counting(*args):
+            reports.append(build(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(inverse, "_report", counting)
+        path = write_json(tmp_path, "t.json", {"target": target})
+        payload = run_ok(capsys, ["solve", path, "--construct"])
+        assert len(reports) == 1
+        assert payload["report"] == reports[0].to_json() == frobenius_check(target).to_json()
+
     def test_construct_roundtrip_through_det(self, tmp_path, capsys):
         t_path = write_json(tmp_path, "t.json", {"target": ["1", "-2", "3", "1/2"]})
         solved = run_ok(capsys, ["solve", t_path, "--construct"])
@@ -375,16 +394,26 @@ class TestMeasure:
         assert json.loads(err)["kind"] == "UsageError"
 
     def test_impossible_tolerance_exit(self, tmp_path, capsys):
-        path = write_json(
-            tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]}
-        )
+        # Irrational atoms: the interval residual at 256 bits is about 2e-69.
+        path = write_json(tmp_path, "s.json", {"sequence": IRRATIONAL_SEQUENCE})
         code, _, err = run(capsys, ["measure", path, "--tol", "1e-200"])
         assert code == 4
         assert json.loads(err)["kind"] == "precision_exhausted"
 
+    def test_rational_atoms_meet_any_tolerance(self, tmp_path, capsys):
+        # Atoms 0 and 1: the exact residual is 0, so even --tol 0 passes.
+        path = write_json(
+            tmp_path, "s.json", {"sequence": ["2", "1", "1", "1", "1", "1"]}
+        )
+        for tol in ("1e-200", "0"):
+            payload = run_ok(capsys, ["measure", path, "--tol", tol])
+            assert payload["residual"] == "0.0"
+            assert [(a["exact_location"], a["exact_weight"]) for a in payload["atoms"]] == [("0", "1"), ("1", "1")]
 
-# Recorded CLI output (exit code, stdout, stderr) of measure on pinned_moments(r);
-# the float stages of measure recovery must leave every printed byte alone.
+
+# Recorded CLI output (exit code, stdout, stderr) of measure on pinned_moments(r),
+# the atom-at-zero measure and irrational documents; a faster measure must leave
+# every printed byte alone.  Rational atoms print exact weights and residual 0.0.
 PINNED_MEASURE_OUTPUTS = Path(__file__).parent / "data" / "measure_cli_outputs.json"
 
 
@@ -402,14 +431,32 @@ def pinned_moments(r):
 ATOM_AT_ZERO = [(Fraction(-9, 7), 2), (Fraction(0), 1), (Fraction(1, 7), 3), (Fraction(5, 7), 1), (Fraction(2), Fraction(1, 2))]
 
 
+# Seven irrational atoms (the CI workflow's "Irrational measure" document): +-sqrt(2)
+# with weight 1, 1 +- sqrt(3) with 1/3 and the roots of x^3 - 3x + 1 with 2.
+IRRATIONAL_SEQUENCE = [
+    "26/3", "2/3", "56/3", "2/3", "188/3", "62/3", "806/3", "758/3",
+    "4316/3", "7004/3", "27086/3", "57752/3", "185966/3", "452090/3", "1335026/3", "3452672/3",
+]
+
+
+def gauss_moments():
+    """s_0..s_13 of the six-node Gauss rule of rational Jacobi data: its nodes
+    are the (irrational) roots of P_6, its moments rational."""
+    jacobi = JacobiCoeffs(
+        tuple(Fraction(v) for v in ("1/2", "-1/3", "0", "1/4", "-1/5", "1/6")),
+        tuple(Fraction(v) for v in ("2", "1/2", "1", "3/2", "2", "5/2")),
+    )
+    return [str(t) for t in approx_sequence(moments_from_jacobi(jacobi), 6, 13).terms]
+
+
 class TestMeasurePinnedOutput:
     @pytest.mark.parametrize("r", [3, 7, 12])
-    @pytest.mark.parametrize("bits", [256, 64, 1024])  # at 64 bits the residual misses 1e-20: exit 4
+    @pytest.mark.parametrize("bits", [256, 64, 1024])  # the exact residual 0 meets 1e-20 at 64 bits too
     def test_byte_identical(self, tmp_path, capsys, r, bits):
         expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))[f"rank{r}-{bits}bits"]
         path = write_json(tmp_path, "s.json", {"sequence": pinned_moments(r)})
         code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits)])
-        assert code == expected["exit"] == (4 if bits == 64 else 0)
+        assert code == expected["exit"] == 0
         assert out == expected["stdout"]
         assert err == expected["stderr"]
 
@@ -420,6 +467,23 @@ class TestMeasurePinnedOutput:
         moments = moments_of_atoms(ATOM_AT_ZERO, 2 * len(ATOM_AT_ZERO) + 1)
         path = write_json(tmp_path, "s.json", {"sequence": [str(t) for t in moments.terms]})
         code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits), "--tol", "1e-10"])
+        assert code == expected["exit"] == 0
+        assert out == expected["stdout"]
+        assert err == expected["stderr"]
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])  # at 64 bits the residual misses 1e-20: exit 4
+    def test_irrational_byte_identical(self, tmp_path, capsys, bits):
+        expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))[f"irrational7-{bits}bits"]
+        path = write_json(tmp_path, "s.json", {"sequence": IRRATIONAL_SEQUENCE})
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", str(bits)])
+        assert code == expected["exit"] == (4 if bits == 64 else 0)
+        assert out == expected["stdout"]
+        assert err == expected["stderr"]
+
+    def test_gauss_nodes_byte_identical(self, tmp_path, capsys):
+        expected = json.loads(PINNED_MEASURE_OUTPUTS.read_text(encoding="utf-8"))["gauss6-256bits"]
+        path = write_json(tmp_path, "s.json", {"sequence": gauss_moments()})
+        code, out, err = run(capsys, ["measure", path, "--precision-bits", "256"])
         assert code == expected["exit"] == 0
         assert out == expected["stdout"]
         assert err == expected["stderr"]
@@ -693,20 +757,38 @@ class TestPerCommandParser:
         assert parse("solve").policy is None
 
 
-# Atoms n/7 whose 64-bit weights differ by rounding alone; at 256 bits they agree.
+# Atoms n/7 whose 64-bit numeric weights differ by rounding alone; at 256 bits they agree.
 ROUNDING_ATOMS = [(Fraction(n, 7), Fraction(1, 2) if n == 22 else Fraction(1, 4))
                   for n in (0, 3, 9, 13, 16, 18, 20, 21, 22, 23, 24)]
 
 
+def with_conjugate_pair(atoms, c, d, w, m_max):
+    """s_0..s_m_max of the rational atoms plus the atoms c +- sqrt(d), weight w each."""
+    pair = [2 * w * sum(math.comb(n, j) * c ** (n - j) * d ** (j // 2) for j in range(0, n + 1, 2))
+            for n in range(m_max + 1)]
+    return [str(t + p) for t, p in zip(moments_of_atoms(atoms, m_max).terms, pair)]
+
+
 class TestWeightMismatchExit:
     def test_precision_exit_then_success_with_more_bits(self, tmp_path, capsys):
-        s = moments_of_atoms(ROUNDING_ATOMS, 2 * len(ROUNDING_ATOMS) + 1)
-        path = write_json(tmp_path, "s.json", s.to_json())
+        # ROUNDING_ATOMS with 0 traded for the irrational pair (4 +- sqrt(2)) / 7:
+        # the weights are computed numerically, and at 64 bits they still miss.
+        atoms = ROUNDING_ATOMS[1:]
+        sequence = with_conjugate_pair(atoms, Fraction(4, 7), Fraction(2, 49), Fraction(1, 4), 2 * len(atoms) + 5)
+        path = write_json(tmp_path, "s.json", {"sequence": sequence})
         code, out, err = run(capsys, ["measure", path, "--precision-bits", "64"])
         assert (code, out) == (4, "")
         assert json.loads(err)["kind"] == "weight_mismatch"
         payload = run_ok(capsys, ["measure", path, "--precision-bits", "256"])
-        assert payload["r"] == len(ROUNDING_ATOMS)
+        assert payload["r"] == len(atoms) + 2
+        assert "exact_weight" not in payload["atoms"][0]
+
+    def test_rational_rounding_atoms_are_exact_at_64_bits(self, tmp_path, capsys):
+        s = moments_of_atoms(ROUNDING_ATOMS, 2 * len(ROUNDING_ATOMS) + 1)
+        path = write_json(tmp_path, "s.json", s.to_json())
+        payload = run_ok(capsys, ["measure", path, "--precision-bits", "64"])
+        assert payload["residual"] == "0.0"
+        assert [Fraction(a["exact_weight"]) for a in payload["atoms"]] == [w for _, w in ROUNDING_ATOMS]
 
 
 class TestRejectedEntryQuotedShort:

@@ -33,7 +33,7 @@ from hankelkit import (
     recover_measure,
     verify_moments,
 )
-from hankelkit.core import HankelScan, MomentSequence
+from hankelkit.core import HankelScan, MomentSequence, as_moments
 from hankelkit.measures import Atom, DiscreteMeasure
 from hankelkit.polynomials import ZERO
 from hankelkit.scalars import real_scalar
@@ -57,6 +57,29 @@ def linear_product(roots):
 def exact(value) -> F:
     """The exact rational value of an mpf."""
     return F(*to_rational(value._mpf_))
+
+
+def nearest(w, bits) -> F:
+    """The positive rational w rounded to the nearest float of bits bits, ties to even."""
+    e = w.numerator.bit_length() - w.denominator.bit_length()
+    if F(2) ** e > w:
+        e -= 1  # 2^e <= w < 2^(e+1)
+    unit = F(2) ** (e - bits + 1)
+    return round(w / unit) * unit
+
+
+def refined_enclosures(scan, r, bits):
+    """isolate_real_roots(P_r) as the measure path computes it: the isolating
+    cells the recurrence counts, refined to the target width."""
+    return measures._refined(*measures._measure_cells(scan, r, bits))
+
+
+def numeric_recovery(s, bits):
+    """recover_measure's numeric path, called directly: the isolating cells
+    refined to the target depth, mpf weights from two formulas that must agree."""
+    seq = as_moments(s)
+    r, scan = measures._psd_flat_scan(seq)
+    return measures._numeric_measure(seq, scan, r, refined_enclosures(scan, r, bits), bits)
 
 
 def random_atoms(rng, r, span=5):
@@ -206,14 +229,20 @@ class TestRootIsolation:
         # about 244 halvings from the target width.  An approximate root names
         # the target cell and exact signs at its two ends confirm it, after
         # one exact sign at the isolating cell's right end.
+        # This is the numeric path; recover_measure takes these rational atoms
+        # exactly and refines no cell at all.
         counts = self.count_refinement(monkeypatch)
         s = moments_of_atoms([(F(n, 7), 1) for n in range(1, 13)], 25)
-        assert recover_measure(s, 256).r == 12
+        assert numeric_recovery(s, 256).r == 12
         assert 0 < counts["signs"] <= 3 * 12
         assert counts["newton"] == 0
         # The Cauchy bound is about 1743 and Fujiwara's 2^6: bisection from
         # [-B-1, B+1] makes 23 Sturm counts, from the two cells next to 0
         # that cover (-2^6, 2^6) 17.
+        assert 0 < counts["counts"] <= 17
+        counts.update(signs=0, counts=0)
+        assert recover_measure(s, 256).atoms[0].exact_location == F(1, 7)
+        assert counts["signs"] == counts["newton"] == 0
         assert 0 < counts["counts"] <= 17
 
     def test_refinement_takes_few_newton_steps(self, monkeypatch):
@@ -441,7 +470,7 @@ class TestRecurrenceCounter:
         assert rank == r
         p = poly_P(s, r)
         expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(p, bits)]
-        assert measures._measure_roots(scan, r, bits) == expected
+        assert refined_enclosures(scan, r, bits) == expected
         assert isolate_real_roots(p, bits) == expected
         try:
             measure = recover_measure(s, bits)
@@ -479,7 +508,8 @@ class TestRecurrenceCounter:
             measures._recurrence_sign_changes(flipped, 3)
 
     def test_recover_measure_builds_no_chain(self, monkeypatch):
-        # Only P_r's coefficients are read as rationals, for Q_r and P_r'.
+        # Rational atoms read no rational coefficient of P_r at all; the
+        # numeric path reads P_r's once, for Q_r and P_r'.
         def forbidden(*args):
             raise AssertionError("the measure path built or evaluated a Sturm chain")
 
@@ -495,6 +525,8 @@ class TestRecurrenceCounter:
         monkeypatch.setattr(HankelScan, "p_coeffs", recording)
         s = moments_of_atoms([(F(n, 7), 1) for n in range(-5, 7)], 25)
         assert recover_measure(s, 256).r == 12
+        assert read == []
+        assert numeric_recovery(s, 256).r == 12
         assert read == [12]
 
 
@@ -577,16 +609,24 @@ class TestRecoverMeasure:
             recover_measure([1, 0, -1, 0, 0, 0], 128)
 
     def test_weights_match_per_atom_evaluation_bit_for_bit(self):
-        # Coefficients are rounded to mpf once per measure; every weight must
-        # still be the residue Q_r/P_r' that Polynomial.eval_mpf gives per atom.
+        # Numeric path: coefficients are rounded to mpf once per measure; every
+        # weight must still be the residue Q_r/P_r' that Polynomial.eval_mpf
+        # gives per atom.  recover_measure takes these rational atoms exactly:
+        # the same locations, and each weight the exact one correctly rounded.
         rng = random.Random(5006)
         for _ in range(12):
             r = rng.randint(1, 8)
             bits = rng.choice([64, 113, 256])
-            s = moments_of_atoms(random_atoms(rng, r), 2 * r + 1)
-            measure = recover_measure(s, bits)
+            atoms = random_atoms(rng, r)
+            s = moments_of_atoms(atoms, 2 * r + 1)
+            measure = numeric_recovery(s, bits)
             p_prime, q_r = poly_P(s, r).derivative(), poly_Q(s, r)
             assert measure.r == r
+            exact_measure = recover_measure(s, bits)
+            assert [a.location for a in exact_measure.atoms] == [a.location for a in measure.atoms]
+            for atom, (x, w) in zip(exact_measure.atoms, atoms):
+                assert (atom.exact_location, atom.exact_weight) == (x, w)
+                assert exact(atom.weight.value) == nearest(w, bits)
             for atom in measure.atoms:
                 midpoint = atom.enclosure.midpoint
                 with mp.workprec(bits):
@@ -600,7 +640,11 @@ class TestRecoverMeasure:
         assert payload["r"] == 2
         assert len(payload["atoms"]) == 2
         atom = payload["atoms"][0]
-        assert set(atom) == {"location", "enclosure", "weight"}
+        assert set(atom) == {"location", "enclosure", "weight", "exact_location", "exact_weight"}
+        assert (atom["exact_location"], atom["exact_weight"]) == ("0", "1")
+        # Atoms +-sqrt(2) are irrational: no exact fields.
+        payload = recover_measure([2, 0, 4, 0, 8, 0], 128).to_json()
+        assert all(set(atom) == {"location", "enclosure", "weight"} for atom in payload["atoms"])
 
 
 # (enclosure's left end, its width, weight): weights of either sign or 0,
@@ -693,11 +737,12 @@ class TestAgainstMpmathContexts:
 
 
 def assert_matches_mpmath_contexts(s, r, bits):
-    """recover_measure and verify_moments on moments s of r atoms against
-    oracle_measure_floats and oracle_residual_bound, bit for bit; a refusal
-    must be the oracle's too.  Returns the measure, or None if refused."""
+    """recover_measure's numeric path and verify_moments' interval residual on
+    moments s of r atoms against oracle_measure_floats and
+    oracle_residual_bound, bit for bit; a refusal must be the oracle's too.
+    Returns the measure, or None if refused."""
     try:
-        measure = recover_measure(s, bits)
+        measure = numeric_recovery(s, bits)
     except WeightMismatch as exc:
         # Refused at this precision: the oracle's two formulas must miss the same bound.
         enclosures = isolate_real_roots(poly_P(s, r), bits)
@@ -748,6 +793,18 @@ irrational_measures = st.tuples(
 )
 
 
+def irrational_moments(irrational_measure):
+    """(s_0..s_{2r+1}, the monic P_r) of orbits of irrational atoms and rational atoms."""
+    orbits, rational_atoms = irrational_measure
+    f = linear_product([x for x, _ in rational_atoms])
+    for coeffs, _ in orbits:
+        f = f * Polynomial(coeffs)
+    m_max = 2 * f.degree + 1
+    orbit_sums = [[w * p for p in power_sums(coeffs, m_max)] for coeffs, w in orbits]
+    s = moments_of_atoms(rational_atoms, m_max)
+    return MomentSequence(tuple([t + sum(sums[n] for sums in orbit_sums) for n, t in enumerate(s.terms)])), f
+
+
 class TestIrrationalAtoms:
     """Conjugate irrational atoms, the path the benchmark's n/7 atoms never take."""
 
@@ -757,21 +814,87 @@ class TestIrrationalAtoms:
     @example(([(ORBITS[0], F(1)), (ORBITS[1], F(1, 3)), (ORBITS[2], F(2))], []), 1024)
     @example(([(ORBITS[0], F(9, 4))], [(F(0), F(1, 2)), (F(10, 7), F(3))]), 64)  # 10/7 is 0.014 from sqrt(2)
     def test_against_oracles(self, irrational_measure, bits):
-        orbits, rational_atoms = irrational_measure
-        f = linear_product([x for x, _ in rational_atoms])
-        for coeffs, _ in orbits:
-            f = f * Polynomial(coeffs)
+        s, f = irrational_moments(irrational_measure)
         r = f.degree
-        m_max = 2 * r + 1
-        orbit_sums = [[w * p for p in power_sums(coeffs, m_max)] for coeffs, w in orbits]
-        s = moments_of_atoms(rational_atoms, m_max)
-        s = MomentSequence(tuple([t + sum(sums[n] for sums in orbit_sums) for n, t in enumerate(s.terms)]))
         assert poly_P(s, r).monic() == f
         measure = assert_matches_mpmath_contexts(s, r, bits)
         if measure is not None:
             expected = [Interval(lo, hi) for lo, hi in oracle_isolate_real_roots(f, bits)]
             assert [atom.enclosure for atom in measure.atoms] == expected
             assert all(f.eval(cell.lo) * f.eval(cell.hi) < 0 or f.eval(cell.hi) == 0 for cell in expected)
+
+
+def assert_same_recovery(s, bits):
+    """recover_measure on s falls back to the numeric path: the same measure,
+    or the same refusal, and the same residual."""
+    try:
+        numeric = numeric_recovery(s, bits)
+    except (WeightMismatch, NonPositiveWeight) as exc:
+        with pytest.raises(type(exc)) as refusal:
+            recover_measure(s, bits)
+        assert refusal.value.to_json() == exc.to_json()
+        return
+    measure = recover_measure(s, bits)
+    assert measure == numeric
+    assert all(atom.exact_location is None and atom.exact_weight is None for atom in measure.atoms)
+    assert verify_moments(measure, s) == verify_moments(numeric, s)
+
+
+# The 2^-300 cluster around 1/3: closer than the target width below about 300 bits.
+CLUSTER = [(F(1, 3) - F(1, 2**300), F(1)), (F(1, 3), F(2)), (F(1, 3) + F(1, 2**300), F(3))]
+
+
+class TestExactAgainstNumeric:
+    """recover_measure's exact path for rational atoms against its numeric
+    path, called directly; irrational atoms and clusters must fall back."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(root_sets, atom_weights, st.sampled_from([64, 256, 1024]))
+    @example([F(0), F(1)], [F(1)] * 6, 64)  # grid points of the grid (-2, 2]
+    @example([F(-9, 7), F(0), F(1, 7), F(5, 7), F(2)], [F(2), F(1), F(3), F(1), F(1, 2), F(1)], 256)  # an atom at 0
+    @example([F(-1), F(0), F(1, 2), F(1)], [F(1, 4), F(9), F(2), F(3)] + [F(1)] * 2, 64)
+    @example([x for x, _ in CLUSTER], [w for _, w in CLUSTER] + [F(1)] * 3, 1024)  # resolved at 1024 bits
+    # The approximate root in the cell of 2^-70 stops at the root 0 on its left
+    # end, so the cell is refined until its midpoint names the root.
+    @example([F(0), F(1, 2**70)], [F(1, 4)] * 6, 64)
+    def test_rational_atoms(self, roots, weights, bits):
+        r = len(roots)
+        atoms = list(zip(roots, weights))
+        s = moments_of_atoms(atoms, 2 * r + 1)
+        _, scan = measures._psd_flat_scan(s)
+        _, grid, cells = measures._measure_cells(scan, r, bits)
+        if any(depth > grid.depth_k for _, depth in cells):  # roots closer than the target width
+            assert_same_recovery(s, bits)
+            return
+        measure = recover_measure(s, bits)
+        assert [atom.enclosure for atom in measure.atoms] == refined_enclosures(scan, r, bits)
+        assert [(atom.exact_location, atom.exact_weight) for atom in measure.atoms] == atoms
+        assert verify_moments(measure, s).value == 0
+        try:
+            numeric = numeric_recovery(s, bits)
+        except WeightMismatch:
+            return  # the numeric weights need more bits; the exact ones do not
+        bound = F(1, 2 ** (bits // 2))
+        for atom, other in zip(measure.atoms, numeric.atoms):
+            assert atom.location == other.location
+            assert abs(exact(atom.weight.value) - exact(other.weight.value)) <= bound * atom.exact_weight
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_cluster_falls_back(self, bits):
+        s = moments_of_atoms(CLUSTER, 7)
+        r, scan = measures._psd_flat_scan(s)
+        coeffs, grid, cells = measures._measure_cells(scan, r, bits)
+        assert max(depth for _, depth in cells) > grid.depth_k
+        assert measures._exact_roots(coeffs, grid, cells) is None
+        assert_same_recovery(s, bits)
+
+    @settings(max_examples=25, deadline=None)
+    @given(irrational_measures, st.sampled_from([64, 256, 1024]))
+    @example(([(ORBITS[0], F(1)), (ORBITS[1], F(1, 3)), (ORBITS[2], F(2))], []), 64)
+    @example(([(ORBITS[0], F(9, 4))], [(F(0), F(1, 2)), (F(10, 7), F(3))]), 256)
+    def test_irrational_atoms_print_the_numeric_output(self, irrational_measure, bits):
+        s, _ = irrational_moments(irrational_measure)
+        assert_same_recovery(s, bits)
 
 
 class TestCDResidual:
