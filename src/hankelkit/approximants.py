@@ -30,13 +30,12 @@ from operator import mul
 from typing import Sequence, Union
 
 from .core import (
+    HankelScan,
     MomentSequence,
     SequenceLike,
     as_moments,
-    hankel_det,
     hankel_scan,
     scale_to_integers,
-    shifted_det,
 )
 from .errors import (
     GapHypothesisViolated,
@@ -44,7 +43,7 @@ from .errors import (
     SingularLeadingMinor,
     ZeroSequence,
 )
-from .polynomials import Polynomial, poly_P
+from .polynomials import Polynomial
 from .scalars import format_rational
 
 
@@ -76,12 +75,17 @@ def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
     Read off P_r as d_k = -p_{r,k}/D_{r-1} (D_{r-1} is P_r's leading
     coefficient); tests cross-validate it against an elimination solve.
     """
+    return _recurrence_from_p(_leading_scan(s, r).p_coeffs(r), r)
+
+
+def _leading_scan(s: SequenceLike, r: int) -> HankelScan:
+    """The scan of s_0..s_{2r-1} with polynomials, r >= 1: P_r, D_{r-1} and D'_r."""
     if r < 1:
         raise ValueError("r must be >= 1")
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    return _recurrence_from_p(poly_P(seq, r).coeffs, r)
+    return hankel_scan(seq.prefix(2 * r), polys=True)
 
 
 def _recurrence_from_p(p: Sequence[Fraction], r: int) -> ApproxRecurrence:
@@ -93,11 +97,12 @@ def _recurrence_from_p(p: Sequence[Fraction], r: int) -> ApproxRecurrence:
 
 
 def _extension_values(seq: Sequence, rec: ApproxRecurrence, upto: int) -> list:
-    """Values s^(r)_0..s^(r)_upto: copied prefix, then the recurrence, summed in
-    index order from the first product (seq and rec.d: Fraction or mpf)."""
+    """Values s^(r)_0..s^(r)_upto: copied prefix (up to 2r terms of seq), then the
+    recurrence, summed in index order from the first product (seq and rec.d:
+    Fraction or mpf)."""
     r = rec.r
-    values = [seq[i] for i in range(min(2 * r, upto + 1))]
-    for idx in range(2 * r, upto + 1):
+    values = [seq[i] for i in range(min(2 * r, len(seq), upto + 1))]
+    for idx in range(len(values), upto + 1):
         acc = rec.d[0] * values[idx - r]
         for k in range(1, r):
             acc += rec.d[k] * values[idx - r + k]
@@ -172,8 +177,9 @@ def gap_determinant(s: SequenceLike, r: int, d: int) -> Fraction:
     seq = as_moments(s)
     if 2 * (r + d) > seq.max_index:
         raise IndexOutOfRange(2 * (r + d), seq.horizon)
-    rec = recurrence_coeffs(seq, r)
-    lead = hankel_det(seq, r - 1)
+    scan = _leading_scan(seq, r)
+    rec = _recurrence_from_p(scan.p_coeffs(r), r)
+    lead = scan.d_values[r - 1]
     sigma = _extension_values(seq, rec, 2 * r + d)
     for j in range(d):
         if seq[2 * r + j] != sigma[2 * r + j]:
@@ -191,13 +197,12 @@ def shifted_gap_det(s: SequenceLike, r: int) -> Fraction:
     seq = as_moments(s)
     if 2 * r + 1 > seq.max_index:
         raise IndexOutOfRange(2 * r + 1, seq.horizon)
-    rec = recurrence_coeffs(seq, r)
-    lead = hankel_det(seq, r - 1)
+    scan = _leading_scan(seq, r)
+    rec = _recurrence_from_p(scan.p_coeffs(r), r)
     sigma = _extension_values(seq, rec, 2 * r + 1)
-    d_prime_r = shifted_det(seq, r - 1)
-    return (seq[2 * r + 1] - sigma[2 * r + 1]) * lead - (
+    return (seq[2 * r + 1] - sigma[2 * r + 1]) * scan.d_values[r - 1] - (
         seq[2 * r] - sigma[2 * r]
-    ) * d_prime_r
+    ) * scan.d_prime_values[r - 1]
 
 
 # ---------------------------------------------------------------------------

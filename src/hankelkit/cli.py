@@ -55,7 +55,7 @@ MEASURE_TOLERANCE = "1e-20"
 MAX_PRECISION_BITS = 65536
 # The most entries an input list (sequence, target, Jacobi a or b) may have, and the
 # largest --r, --len or --max-n.  At 200 random one-digit rationals every command takes
-# under 4 s on a 2-vCPU host (jacobi --invert about 1 s).
+# under 4 s on a 2-vCPU host (jacobi --invert about 0.1 s).
 MAX_TERMS = 200
 
 

@@ -10,13 +10,13 @@ Every D_n, D'_{n+1} and determinant polynomial P_n of a prefix comes from
 one O(M^2) pass (:func:`hankel_scan`): it closes each run of vanishing
 determinants by the gap formula and advances P_n by the block three-term
 recurrence, on integers over one denominator, reduced at every step.  The
-pass is resumable (:class:`HankelScanner`): callers that build a sequence
-term by term, as the prescribed-determinant solvers do, feed one scanner
-instead of rescanning their growing prefix.  One
-fraction-free (Bareiss) elimination
-kernel, on rows cleared to integers, serves everything else: determinants
-and single minors (:func:`hankel_minor`), rank, solves and maximal minors.
-It is also the independent route the tests check the pass against.
+pass is resumable (:class:`HankelScanner`): a caller that builds a sequence
+term by term, as the inverse-problem construction does, feeds one scanner
+instead of rescanning its growing prefix.  One fraction-free (Bareiss)
+elimination kernel, on rows cleared to integers, serves everything else:
+determinants and single minors (:func:`hankel_minor`), rank, solves and
+maximal minors.  It is also the independent route the tests check the pass
+against.
 
 All statements about "all n" are certified only up to the prefix horizon
 (the number of known terms); results carry that horizon where relevant.
@@ -312,13 +312,6 @@ class HankelScanner:
             p_factor=tuple(self.p_factor) if self.polys else None,
             steps=tuple(self.steps),
         )
-
-    def functional(self, coeffs: Sequence[int], shift: int) -> Fraction:
-        """L(x^shift p) = sum_e coeffs[e] s_{shift+e}, for integer coefficients, on integers."""
-        top = shift + len(coeffs) - 1
-        if top >= len(self.terms):
-            raise IndexOutOfRange(top, len(self.terms))
-        return Fraction(sum(map(operator.mul, coeffs, self._ints[shift : top + 1])), self._scale)
 
     def extend(self, values: SequenceLike) -> "HankelScanner":
         """Append terms and carry the pass as far as the longer prefix allows."""

@@ -9,14 +9,16 @@ formula and the block three-term recurrence.  Q_n, the second-kind
 companion, has coefficients given by a convolution of the P_n coefficients
 with the moments, again with no extra determinants.
 
-The same bottom-row expansion gives two workhorse identities used by the
-prescribed-determinant solver: L(x^n P_n) = D_n and L(x^{n+1} P_n) = D'_{n+1},
-which, read as linear equations in the newest moment, determine s_{2n} and
-s_{2n+1} from determinant targets (t_n, t'_n) uniquely when all t_n != 0.
+Jacobi data and determinant targets carry the same information:
+D_n = prod_{k<=n} b_k^{n+1-k} and D'_{n+1} = (a_0 + ... + a_n) D_n.  So the
+prescribed-determinant solver reads (a, b) off its targets in closed form,
+and one routine rebuilds the moments from (a, b) by the mixed-moment
+recurrence of the three-term relation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -25,7 +27,6 @@ from mpmath import mp
 
 from .core import (
     HankelScan,
-    HankelScanner,
     MomentSequence,
     SequenceLike,
     as_moments,
@@ -395,54 +396,66 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
 
 def _jacobi_read_off(scan: HankelScan, n_terms: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """(a_0..a_{N-1}, b_0..b_{N-1}) of a scan whose D_0..D_{N-1} are nonzero
-    (so its first N steps are r -> r+1): a_n = -c_0/c_1 of step n, b_0 = D_0
-    and b_n = D_n D_{n-2} / D_{n-1}^2."""
+    (so its first N steps are r -> r+1): a_n = -c_0/c_1 of step n."""
     a = tuple([Fraction(-step.c[0], step.c[1]) for step in scan.steps[:n_terms]])
-    d = (Fraction(1),) + scan.d_values  # D_{n-1} at index n
-    b = [d[1]]
-    for n in range(1, n_terms):
-        cur, prev, prev2 = d[n + 1], d[n], d[n - 1]
-        b.append(Fraction(
+    return a, _b_from_dets(scan.d_values[:n_terms])
+
+
+def _b_from_dets(d: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """b_n = D_n D_{n-2} / D_{n-1}^2 (D_{-2} = D_{-1} = 1, so b_0 = D_0) of nonzero D_0..D_{N-1}."""
+    d = (Fraction(1), Fraction(1), *d)  # D_{n-2} at index n
+    return tuple([
+        Fraction(
             cur.numerator * prev2.numerator * prev.denominator**2,
             cur.denominator * prev2.denominator * prev.numerator**2,
-        ))
-    return a, tuple(b)
+        )
+        for prev2, prev, cur in zip(d, d[1:], d[2:])
+    ])
 
 
 def moments_from_jacobi(j: JacobiCoeffs) -> MomentSequence:
     """The unique moments s_0..s_{2N-1} whose recurrence data is exactly j.
 
-    Determinant targets follow from D_n = prod b_k^{n+1-k} and
-    D'_{n+1} = (a_0 + ... + a_n) D_n; the prescribed solver does the rest.
+    The mixed moments sigma_{n,k} = L(p_n x^k) vanish for k < n and obey
+    sigma_{n,k+1} = sigma_{n+1,k} + a_n sigma_{n,k} + b_n sigma_{n-1,k}
+    (x p_n = p_{n+1} + a_n p_n + b_n p_{n-1}) from sigma_{0,0} = b_0, and
+    s_k = sigma_{0,k}; column k needs n <= min(k, 2N-1-k) < N only.  Every
+    lambda a_n and lambda^2 b_n (n >= 1) is an integer for lambda the lcm of
+    the denominators of a, multiplied in turn by what lambda^2 misses of each
+    b_n's denominator.  Column k holds integers v_n with sigma_{n,k} =
+    b_0 v_n / (lambda^n q), q | lambda^k: the step runs on lambda a_n and
+    lambda^2 b_n, then divides v and q by their gcd.
     """
-    n_terms = len(j.a)
     for k, bk in enumerate(j.b):
         if bk == 0:
             raise ZeroB(k)
-    t: list[Fraction] = []
-    t_prime: list[Fraction] = []
-    det = Fraction(1)
-    b_product = Fraction(1)
-    a_sum = Fraction(0)
-    for n in range(n_terms):
-        b_product *= j.b[n]
-        det *= b_product
-        a_sum += j.a[n]
-        t.append(det)
-        t_prime.append(a_sum * det)
-    return solve_prescribed(t, t_prime)
+    top = 2 * len(j.a) - 1
+    if top < 0:
+        return MomentSequence(())
+    scale = math.lcm(*[v.denominator for v in j.a])
+    for v in j.b[1:]:
+        scale *= v.denominator // math.gcd(v.denominator, scale * scale)
+    a = [v.numerator * (scale // v.denominator) for v in j.a]
+    b = [0] + [v.numerator * (scale * scale // v.denominator) for v in j.b[1:]]
+    b0 = j.b[0]
+    s, column, q = [b0], [1], 1
+    for k in range(1, top + 1):
+        prev = [0] + column + [0, 0]  # v_{n-1} of column k-1 at index n
+        column = [prev[n + 2] + a[n] * prev[n + 1] + b[n] * prev[n] for n in range(min(k, top - k) + 1)]
+        q *= scale
+        g = math.gcd(q, *column)
+        if g > 1:
+            column, q = [x // g for x in column], q // g
+        s.append(Fraction(b0.numerator * column[0], b0.denominator * q))
+    return MomentSequence(tuple(s))
 
 
 def solve_prescribed(t: Sequence, t_prime: Sequence) -> MomentSequence:
     """The unique s_0..s_{2N-1} with D_n = t_n and D'_{n+1} = t'_n (all t_n != 0).
 
-    Expanding D_n and D'_{n+1} along their last rows gives
-    s_{2n} t_{n-1} = t_n - sum_{j<n} p_{n,j} s_{n+j} and
-    s_{2n+1} t_{n-1} = t'_n - sum_{j<n} p_{n,j} s_{n+1+j},
-    so each step needs one P_n and two dot products.  One resumable scan,
-    extended by (s_{2n}, s_{2n+1}) per step, holds every P_n as integers
-    p_{n,j} = f q_j, and the dot products run on them and the scan's
-    denominator-cleared terms.
+    By the identities above, b_n = t_n t_{n-2} / t_{n-1}^2 (t_{-1} = t_{-2} = 1)
+    and a_n = t'_n / t_n - t'_{n-1} / t_{n-1} (t'_{-1} = 0); then
+    :func:`moments_from_jacobi`.
     """
     targets = [parse_rational(v) for v in t]
     targets_prime = [parse_rational(v) for v in t_prime]
@@ -451,16 +464,6 @@ def solve_prescribed(t: Sequence, t_prime: Sequence) -> MomentSequence:
     for n, value in enumerate(targets):
         if value == 0:
             raise ZeroTarget(n)
-    if not targets:
-        return MomentSequence(())
-    s: list[Fraction] = [targets[0], targets_prime[0]]
-    scanner = HankelScanner(polys=True)
-    for n in range(1, len(targets)):
-        scanner.extend(s[-2:])
-        q, f = scanner.p_int[n], scanner.p_factor[n]
-        lead = q[n]  # f q_n = D_{n-1} = t_{n-1}, nonzero by induction on the targets
-        even = (targets[n] / f - scanner.functional(q[:n], n)) / lead
-        # s_{2n} is not in the scan yet: its term of the second sum is added apart.
-        odd = (targets_prime[n] / f - scanner.functional(q[: n - 1], n + 1) - q[n - 1] * even) / lead
-        s += [even, odd]
-    return MomentSequence(tuple(s))
+    sums = [Fraction(0)] + [tp / tv for tp, tv in zip(targets_prime, targets)]  # a_0 + ... + a_{n-1} at n
+    a = tuple([cur - prev for prev, cur in zip(sums, sums[1:])])
+    return moments_from_jacobi(JacobiCoeffs(a, _b_from_dets(targets)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .approximants import ApproxRecurrence, _recurrence_from_p, approx_sequence
+from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p, approx_sequence
 from .core import (
     DeterminantProfile,
     MomentSequence,
@@ -32,7 +32,7 @@ from .core import (
     scale_to_integers,
 )
 from .errors import DegreeViolation, IndexOutOfRange, SingularLeadingMinor
-from .polynomials import Polynomial, poly_P, poly_Q
+from .polynomials import Polynomial, poly_P, second_kind
 from .scalars import RealScalar, format_rational, real_scalar, to_mpf
 
 from mpmath import mp
@@ -118,13 +118,15 @@ def recurrence_holds(seq: MomentSequence, p: Sequence[int], r: int) -> bool:
 
 def rational_form(s: SequenceLike, r: int) -> RationalForm:
     """The pair (P_r, Q_r); for a FiniteRank-r sequence, its generating
-    rational function sum s_k/x^{k+1} = Q_r(x)/P_r(x)."""
+    rational function sum s_k/x^{k+1} = Q_r(x)/P_r(x).  One scan gives P_r,
+    whose leading coefficient is D_{r-1}."""
     seq = as_moments(s)
     if 2 * r - 1 > seq.max_index:
         raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    if r >= 1 and hankel_det(seq, r - 1) == 0:
+    p = poly_P(seq, r)
+    if r >= 1 and p[r] == 0:
         raise SingularLeadingMinor(r)
-    return RationalForm(p=poly_P(seq, r), q=poly_Q(seq, r))
+    return RationalForm(p=p, q=second_kind(seq, p))
 
 
 def expand_rational(rf: RationalForm, m_out: int) -> MomentSequence:
@@ -152,12 +154,8 @@ def expand_rational(rf: RationalForm, m_out: int) -> MomentSequence:
         for k in range(m):
             acc -= pi[rho - (m - k)] * terms[k]
         terms.append(acc / pi[rho])
-    for m in range(m_out + 1 - rho):
-        acc = Fraction(0)
-        for k in range(rho):
-            acc += pi[k] * terms[m + k]
-        terms.append(-acc / pi[rho])
-    return MomentSequence(tuple(terms[: m_out + 1]))
+    rec = ApproxRecurrence(rho, tuple([-pi[k] / pi[rho] for k in range(rho)]))
+    return MomentSequence(tuple(_extension_values(terms, rec, m_out)))
 
 
 def growth_estimate(s: SequenceLike, precision_bits: int) -> RealScalar:

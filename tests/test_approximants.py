@@ -191,6 +191,16 @@ class TestGapDeterminant:
         with pytest.raises(IndexOutOfRange):
             gap_determinant([1, 0, 0, 0], 1, 2)
 
+    def test_error_precedence(self):
+        with pytest.raises(ValueError, match="gap must be >= 0"):
+            gap_determinant([1, 0, 0], 1, -1)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            gap_determinant([1, 0, 0], 0, 1)
+        with pytest.raises(IndexOutOfRange):  # before D_0 = 0 is looked at
+            gap_determinant([0, 0, 0, 0], 1, 1)
+        with pytest.raises(SingularLeadingMinor):
+            gap_determinant([0, 0, 0, 0, 0], 1, 1)
+
 
 class TestShiftedGapDet:
     def test_matches_definition(self):
@@ -208,6 +218,14 @@ class TestShiftedGapDet:
 
     def test_flat_example(self):
         assert shifted_gap_det([2, 1, 1, 1], 1) == shifted_det([2, 1, 1, 1], 1)
+
+    def test_error_precedence(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            shifted_gap_det([1, 0, 0], 0)
+        with pytest.raises(IndexOutOfRange):  # before D_0 = 0 is looked at
+            shifted_gap_det([0, 0, 0], 1)
+        with pytest.raises(SingularLeadingMinor):
+            shifted_gap_det([0, 0, 0, 0], 1)
 
 
 class TestDegreeProfile:

@@ -281,12 +281,6 @@ class TestResumedScan:
             for n in range(len(want.p_int)):
                 assert got.p_coeffs(n) == want.p_coeffs(n), (s, cuts, hi, n)
 
-    def test_functional_on_integers(self):
-        scanner = HankelScanner(polys=True).extend([F(1, 2), F(1, 3), F(1, 4)])
-        assert scanner.functional([6, -1], 1) == 6 * F(1, 3) - F(1, 4)
-        with pytest.raises(IndexOutOfRange):
-            scanner.functional([1, 1], 2)
-
     def test_a_scan_without_polynomials_takes_one_extend(self):
         scanner = HankelScanner().extend([1, 2, 3])
         with pytest.raises(ValueError):

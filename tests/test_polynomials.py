@@ -278,6 +278,21 @@ class TestJacobi:
     def test_zero_b_rejected(self):
         with pytest.raises(ZeroB):
             moments_from_jacobi(JacobiCoeffs((F(1),), (F(0),)))
+        with pytest.raises(ZeroB) as err:  # the first zero b_k is named
+            moments_from_jacobi(JacobiCoeffs((F(1),) * 4, (F(2), F(-1), F(0), F(0))))
+        assert err.value.params["k"] == 2
+
+    def test_empty(self):
+        assert moments_from_jacobi(JacobiCoeffs((), ())).terms == ()
+
+    def test_long_integer_roundtrip(self):
+        rng = random.Random(200)
+        a = tuple(F(rng.randint(-9, 9)) for _ in range(200))
+        b = tuple(F(rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(200))
+        j = JacobiCoeffs(a, b)
+        seq = moments_from_jacobi(j)
+        assert len(seq) == 400
+        assert jacobi_from_moments(seq, 200) == j
 
     def test_roundtrip_random(self):
         rng = random.Random(1011)
@@ -340,6 +355,19 @@ class TestSolvePrescribed:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(
         st.tuples(
+            st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
+            st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        ),
+        min_size=1,
+        max_size=14,
+    ))
+    def test_matches_per_step_rescans_on_targets(self, pairs):
+        t, t_prime = [v for v, _ in pairs], [v for _, v in pairs]
+        assert list(solve_prescribed(t, t_prime).terms) == oracle_solve_prescribed(t, t_prime)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
             st.fractions(min_value=-9, max_value=9, max_denominator=9),
             st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool),
         ),
@@ -347,7 +375,7 @@ class TestSolvePrescribed:
         max_size=14,
     ))
     def test_matches_per_step_rescans_on_jacobi_pairs(self, pairs):
-        # moments_from_jacobi feeds solve_prescribed; the oracle runs a fresh P_n per step.
+        # Determinant targets of the Jacobi data; the oracle runs a fresh P_n per step.
         j = JacobiCoeffs(tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
         t, t_prime, det, b_product, a_sum = [], [], F(1), F(1), F(0)
         for a, b in pairs:

@@ -18,7 +18,10 @@ from hankelkit import (
     expand_rational,
     finite_rank_checks,
     growth_estimate,
+    hankel_det,
     hankel_rank,
+    poly_P,
+    poly_Q,
     rational_form,
 )
 from hankelkit.polynomials import ONE, X, ZERO
@@ -126,6 +129,25 @@ class TestRationalForm:
         with pytest.raises(IndexOutOfRange):
             rational_form([1, 2], 2)
 
+    def test_error_precedence(self):
+        with pytest.raises(ValueError):
+            rational_form([1, 2], -1)
+        with pytest.raises(IndexOutOfRange):  # before D_0 = 0 is looked at
+            rational_form([0], 1)
+        with pytest.raises(SingularLeadingMinor) as err:
+            rational_form([0, 0], 1)
+        assert err.value.params["r"] == 1
+
+    def test_matches_p_and_q(self):
+        rng = random.Random(3006)
+        for _ in range(20):
+            r = rng.randint(1, 4)
+            s = [random_fraction(rng) for _ in range(2 * r + rng.randint(0, 3))]
+            if hankel_det(s, r - 1) == 0:
+                continue
+            rf = rational_form(s, r)
+            assert (rf.p, rf.q) == (poly_P(s, r), poly_Q(s, r))
+
     def test_coprime_for_planted_rank(self):
         rng = random.Random(3003)
         for _ in range(15):
@@ -171,6 +193,12 @@ class TestExpandRational:
             assert expand_rational(rational_form(s, r), m_out) == approx_sequence(
                 s, r, m_out
             )
+
+    def test_fewer_terms_than_the_degree(self):
+        rf = RationalForm(p=Polynomial([1, 2, 3, 4]), q=Polynomial([F(1, 2), -1, 5]))
+        full = expand_rational(rf, 8).terms
+        for m_out in range(9):
+            assert expand_rational(rf, m_out).terms == full[: m_out + 1]
 
     def test_roundtrip_on_planted_rank(self):
         rng = random.Random(3005)
