@@ -30,19 +30,15 @@ from operator import mul
 from typing import Sequence, Union
 
 from .core import (
-    HankelScan,
     MomentSequence,
     SequenceLike,
+    _require_index,
+    _scan_through,
     as_moments,
     hankel_scan,
     scale_to_integers,
 )
-from .errors import (
-    GapHypothesisViolated,
-    IndexOutOfRange,
-    SingularLeadingMinor,
-    ZeroSequence,
-)
+from .errors import GapHypothesisViolated, SingularLeadingMinor, ZeroSequence
 from .polynomials import Polynomial
 from .scalars import format_rational
 
@@ -75,17 +71,9 @@ def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
     Read off P_r as d_k = -p_{r,k}/D_{r-1} (D_{r-1} is P_r's leading
     coefficient); tests cross-validate it against an elimination solve.
     """
-    return _recurrence_from_p(_leading_scan(s, r).p_coeffs(r), r)
-
-
-def _leading_scan(s: SequenceLike, r: int) -> HankelScan:
-    """The scan of s_0..s_{2r-1} with polynomials, r >= 1: P_r, D_{r-1} and D'_r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    seq = as_moments(s)
-    if 2 * r - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    return hankel_scan(seq.prefix(2 * r), polys=True)
+    return _recurrence_from_p(_scan_through(as_moments(s), 2 * r - 1, polys=True).p_coeffs(r), r)
 
 
 def _recurrence_from_p(p: Sequence[Fraction], r: int) -> ApproxRecurrence:
@@ -131,8 +119,7 @@ def shifted_recurrence_coeffs(
         raise ValueError("shift must be >= 0")
     seq = as_moments(s)
     r = ar.r
-    if 2 * r - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
+    _require_index(seq, 2 * r - 1)
     for m in range(r):
         acc = Fraction(0)
         for k in range(r):
@@ -175,9 +162,10 @@ def gap_determinant(s: SequenceLike, r: int, d: int) -> Fraction:
     if d < 0:
         raise ValueError("gap must be >= 0")
     seq = as_moments(s)
-    if 2 * (r + d) > seq.max_index:
-        raise IndexOutOfRange(2 * (r + d), seq.horizon)
-    scan = _leading_scan(seq, r)
+    _require_index(seq, 2 * (r + d))
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    scan = _scan_through(seq, 2 * r - 1, polys=True)  # P_r and D_{r-1}
     rec = _recurrence_from_p(scan.p_coeffs(r), r)
     lead = scan.d_values[r - 1]
     sigma = _extension_values(seq, rec, 2 * r + d)
@@ -195,9 +183,10 @@ def shifted_gap_det(s: SequenceLike, r: int) -> Fraction:
     D'_{r+1} = (s_{2r+1} - s^(r)_{2r+1}) D_{r-1} - (s_{2r} - s^(r)_{2r}) D'_r.
     """
     seq = as_moments(s)
-    if 2 * r + 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r + 1, seq.horizon)
-    scan = _leading_scan(seq, r)
+    _require_index(seq, 2 * r + 1)
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    scan = _scan_through(seq, 2 * r - 1, polys=True)  # P_r, D_{r-1} and D'_r
     rec = _recurrence_from_p(scan.p_coeffs(r), r)
     sigma = _extension_values(seq, rec, 2 * r + 1)
     return (seq[2 * r + 1] - sigma[2 * r + 1]) * scan.d_values[r - 1] - (

@@ -18,6 +18,12 @@ determinants and single minors (:func:`hankel_minor`), rank, solves and
 maximal minors.  It is also the independent route the tests check the pass
 against.
 
+D_n is fixed by s_0..s_{2n}, D'_{n+1} by s_0..s_{2n+1} and P_n by
+s_0..s_{2n-1}.  Every function, here and in the other modules, that reads
+them up to an index it is given scans exactly those terms through one
+helper, which raises IndexOutOfRange naming the last of them when the prefix
+is shorter.
+
 All statements about "all n" are certified only up to the prefix horizon
 (the number of known terms); results carry that horizon where relevant.
 """
@@ -232,7 +238,8 @@ def bottom_row_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 class ScanStep(NamedTuple):
     """One block step r -> r_next between full-degree indices: the integers of
     P_{r_next} are proportional to sum_i c[i] x^i p_int[r] + c_b p_int[r'],
-    r' the full-degree index before r (c_b = 0 when r = 0)."""
+    r' the full-degree index before r (c_b = 0 when r = 0).  This holds for a
+    scanner given its terms in pieces too, on the p_int it returns."""
 
     r: int
     r_next: int
@@ -298,6 +305,7 @@ class HankelScanner:
         self._p_prev: list[int] = []
         self._m_prev: list[int] = []
         self._f_prev = Fraction(1)
+        self._prev_mu = 1  # what _moments has multiplied p_prev by since p_int[r'] stored it
 
     def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
@@ -335,6 +343,7 @@ class HankelScanner:
             self._q_cur *= mu
             self._p_prev, self._m_prev, mu = self._moments(self._p_prev, self._m_prev, m_top - self._r)
             self._f_prev /= mu
+            self._prev_mu *= mu
         for out, size, fill in (
             (self.d_values, m_top // 2 + 1, Fraction(0)),
             (self.d_prime_values, (m_top + 1) // 2, Fraction(0)),
@@ -356,6 +365,16 @@ class HankelScanner:
         if mu > 1:
             p, m = [x * mu for x in p], [x * mu for x in m]
         return p, m + [x // g for x in sums], mu
+
+    def _step(self, r: int, r_next: int, c: list[int], c_b: int, k: int) -> ScanStep:
+        """The step whose c and c_b, over k, act on p_cur and p_prev, recorded on
+        p_int[r] and p_int[r']: p_cur is p_int[r], but p_prev is p_int[r'] times
+        _prev_mu, so c_b takes that factor and the step its gcd with k out."""
+        c_b *= self._prev_mu
+        if self._prev_mu != 1:
+            h = math.gcd(k, c_b, *c)
+            c, c_b = [x // h for x in c], c_b // h
+        return ScanStep(r, r_next, tuple(c), c_b)
 
     def _run(self) -> None:
         """The pass from the open block on; see :func:`hankel_scan`."""
@@ -418,7 +437,7 @@ class HankelScanner:
                 c[gap - t] = -acc
             h = math.gcd(k, c_b, *c)
             c, c_b, k = [x // h for x in c], c_b // h, k // h
-            self.steps.append(ScanStep(r, r_next, tuple(c), c_b))
+            self.steps.append(self._step(r, r_next, c, c_b, k))
 
             lo, hi = r_next, m_top - r_next
             acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
@@ -432,6 +451,7 @@ class HankelScanner:
                         acc_p[i + e] += ci * x
             g = math.gcd(k, *acc_m, *acc_p)  # what the integers share with the denominator
             p_prev, m_prev, f_prev = p_cur, m_cur, f_gamma
+            self._prev_mu = 1
             p_cur, m_cur, q_cur = [x // g for x in acc_p], [0] * lo + [x // g for x in acc_m], k // g
             r, j, d_prev = r_next, r_next, d_new
         self._r, self._j, self._d_prev = r, j, d_prev
@@ -492,6 +512,13 @@ def _require_index(s: MomentSequence, needed: int) -> None:
         raise IndexOutOfRange(needed, s.horizon)
 
 
+def _scan_through(seq: MomentSequence, top: int, polys: bool = False) -> HankelScan:
+    """The scan of s_0..s_top (top >= -1), the terms that fix what the caller
+    reads off it; IndexOutOfRange names s_top when the prefix lacks it."""
+    _require_index(seq, top)
+    return hankel_scan(seq.prefix(top + 1), polys)
+
+
 def hankel_matrix(s: SequenceLike, n: int) -> list[list[Fraction]]:
     """The (n+1) x (n+1) matrix (s_{i+j})."""
     seq = as_moments(s)
@@ -502,10 +529,9 @@ def hankel_matrix(s: SequenceLike, n: int) -> list[list[Fraction]]:
 def hankel_det(s: SequenceLike, n: int) -> Fraction:
     """D_n, the determinant of (s_{i+j})_{i,j=0..n}, by one scan of s_0..s_{2n}."""
     seq = as_moments(s)
-    _require_index(seq, 2 * n)
     if n < 0:
         return Fraction(1)  # the empty determinant
-    return hankel_scan(seq.prefix(2 * n + 1)).d_values[n]
+    return _scan_through(seq, 2 * n).d_values[n]
 
 
 def shifted_det(s: SequenceLike, n: int) -> Fraction:
@@ -515,10 +541,9 @@ def shifted_det(s: SequenceLike, n: int) -> Fraction:
     D'_1 = s_1.  Needs moments through s_{2n+1}.
     """
     seq = as_moments(s)
-    _require_index(seq, 2 * n + 1)
     if n < 0:
         return Fraction(1)  # the empty determinant
-    return hankel_scan(seq.prefix(2 * n + 2)).d_prime_values[n]
+    return _scan_through(seq, 2 * n + 1).d_prime_values[n]
 
 
 def hankel_minor(s: SequenceLike, n: int, k: int, m: int) -> Fraction:

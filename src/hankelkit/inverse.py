@@ -342,7 +342,7 @@ def _construct(
     s.extend(draw() for _ in range(n0 + 1, 2 * n0 + 1))
     for a, b, offset in zip(support, support[1:], offsets[1:]):
         s.append(draw())  # s_{2a+1}: free, but needed to define the extension
-        sigma = _extension_values(s, recurrence(s, a + 1), 2 * b)
+        sigma = _extension_values(s, recurrence(s, a + 1), a + b + 1)
         s.extend(sigma[2 * a + 2 : a + b + 1])
         s.append(sigma[a + b + 1] + offset)
         s.extend(draw() for _ in range(a + b + 2, 2 * b + 1))

@@ -81,13 +81,13 @@ from .core import (
     HankelScan,
     MomentSequence,
     SequenceLike,
+    _scan_through,
     as_moments,
     hankel_scan,
     scale_to_integers,
 )
 from .errors import (
     DegreeViolation,
-    IndexOutOfRange,
     NonPositiveWeight,
     NotPSDFlat,
     NotQuasiDefinite,
@@ -927,10 +927,7 @@ def cd_identity_residual(s: SequenceLike, r: int) -> Polynomial:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    seq = as_moments(s)
-    if 2 * r - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    scan = hankel_scan(seq.prefix(2 * r), polys=True)
+    scan = _scan_through(as_moments(s), 2 * r - 1, polys=True)
     if 0 in scan.d_values:
         raise NotQuasiDefinite(scan.d_values.index(0))
     d = (Fraction(1),) + scan.d_values  # D_{-1}, D_0..D_{r-1}

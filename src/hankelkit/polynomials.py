@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from mpmath import mp
-
 from .core import (
     HankelScan,
     MomentSequence,
     SequenceLike,
+    _scan_through,
     as_moments,
-    hankel_scan,
     scale_to_integers,
 )
 from .errors import (
@@ -194,15 +192,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def eval_mpf(self, x, precision_bits: int):
-        """Horner evaluation in mpmath arithmetic at the stated precision."""
-        with mp.workprec(precision_bits):
-            acc = mp.mpf(0)
-            for c in reversed(self.coeffs):
-                term = mp.mpf(c.numerator) / c.denominator
-                acc = acc * x + term
-            return +acc
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -238,10 +227,7 @@ def poly_P(s: SequenceLike, n: int) -> Polynomial:
         raise ValueError("n must be >= 0")
     if n == 0:
         return ONE
-    seq = as_moments(s)
-    if 2 * n - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * n - 1, seq.horizon)
-    return Polynomial(hankel_scan(seq.prefix(2 * n), polys=True).p_coeffs(n))
+    return Polynomial(_scan_through(as_moments(s), 2 * n - 1, polys=True).p_coeffs(n))
 
 
 def p_family(s: SequenceLike, n_max: int) -> tuple[Polynomial, ...]:
@@ -249,10 +235,8 @@ def p_family(s: SequenceLike, n_max: int) -> tuple[Polynomial, ...]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     seq = as_moments(s)
-    if 2 * n_max - 1 > seq.max_index:
-        first_missing = len(seq) // 2 + 1  # the smallest n whose P_n the prefix lacks
-        raise IndexOutOfRange(2 * first_missing - 1, seq.horizon)
-    scan = hankel_scan(seq.prefix(2 * n_max), polys=True)
+    first_missing = len(seq) // 2 + 1  # a short prefix names the last term of this P_n
+    scan = _scan_through(seq, 2 * min(n_max, first_missing) - 1, polys=True)
     return tuple([Polynomial(scan.p_coeffs(n)) for n in range(n_max + 1)])
 
 
@@ -303,9 +287,7 @@ def kronecker_residual(s: SequenceLike, r: int) -> Fraction:
     if r < 1:
         raise ValueError("r must be >= 1")
     seq = as_moments(s)
-    if 2 * r - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
-    scan = hankel_scan(seq.prefix(2 * r), polys=True)
+    scan = _scan_through(seq, 2 * r - 1, polys=True)
     p_prev, p_cur = (Polynomial(scan.p_coeffs(n)) for n in (r - 1, r))
     combo = p_prev * second_kind(seq, p_cur) - p_cur * second_kind(seq, p_prev)
     if combo.degree not in (None, 0):
@@ -321,10 +303,10 @@ def frobenius_recurrence_residual(s: SequenceLike, n: int) -> Polynomial:
     - D_n^2 P_{n-1}, with the conventions P_{-1} = 0, D_{-1} = 1, D'_0 = 0.
     Must be the zero polynomial.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     seq = as_moments(s)
-    if 2 * n + 1 > seq.max_index:
-        raise IndexOutOfRange(2 * n + 1, seq.horizon)
-    scan = hankel_scan(seq.prefix(2 * n + 2), polys=True)
+    scan = _scan_through(seq, 2 * n + 1, polys=True)
     d = (Fraction(1),) + scan.d_values  # D_{n-1} at index n
     dp = (Fraction(0),) + scan.d_prime_values  # D'_n at index n
     d_prev, d_cur, dp_cur, dp_next = d[n], d[n + 1], dp[n], dp[n + 1]
@@ -384,10 +366,7 @@ def jacobi_from_moments(s: SequenceLike, n_terms: int) -> JacobiCoeffs:
     """
     if n_terms < 1:
         raise ValueError("need at least one coefficient pair")
-    seq = as_moments(s)
-    if 2 * n_terms - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * n_terms - 1, seq.horizon)
-    scan = hankel_scan(seq.prefix(2 * n_terms))
+    scan = _scan_through(as_moments(s), 2 * n_terms - 1)
     for n, value in enumerate(scan.d_values):
         if value == 0:
             raise NotQuasiDefinite(n)

@@ -24,6 +24,7 @@ from .core import (
     DeterminantProfile,
     MomentSequence,
     SequenceLike,
+    _scan_through,
     as_moments,
     determinant_transform,
     echelonize,
@@ -31,7 +32,7 @@ from .core import (
     hankel_scan,
     scale_to_integers,
 )
-from .errors import DegreeViolation, IndexOutOfRange, SingularLeadingMinor
+from .errors import DegreeViolation, SingularLeadingMinor
 from .polynomials import Polynomial, poly_P, second_kind
 from .scalars import RealScalar, format_rational, real_scalar, to_mpf
 
@@ -121,8 +122,6 @@ def rational_form(s: SequenceLike, r: int) -> RationalForm:
     rational function sum s_k/x^{k+1} = Q_r(x)/P_r(x).  One scan gives P_r,
     whose leading coefficient is D_{r-1}."""
     seq = as_moments(s)
-    if 2 * r - 1 > seq.max_index:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
     p = poly_P(seq, r)
     if r >= 1 and p[r] == 0:
         raise SingularLeadingMinor(r)
@@ -192,10 +191,11 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
       prefix term-for-term.
     - "rational_expansion_match": re-expanding Q_r/P_r reproduces the prefix.
     """
+    if r < 0:
+        raise ValueError("r must be >= 0")
     seq = as_moments(s)
+    p = _scan_through(seq, 2 * r - 1, polys=True).p_int[r]
     m = seq.max_index
-    if 2 * r - 1 > m:
-        raise IndexOutOfRange(2 * r - 1, seq.horizon)
 
     n_rows = m // 2 + 1
     n_cols = m + 2 - n_rows
@@ -208,7 +208,6 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
         value == 0 for value in profile.d_values[r:]
     )
 
-    p = hankel_scan(seq.prefix(2 * r), polys=True).p_int[r]
     annihilates = recurrence_holds(seq, p, r)
 
     if r >= 1 and hankel_det(seq, r - 1) != 0:

@@ -35,13 +35,12 @@ from hankelkit.approximants import BlockStep, StructureReport, _extension_values
 from hankelkit.core import (
     HankelScan,
     HankelScanner,
-    ScanStep,
     fraction_free_det,
     hankel_det,
     scale_to_integers,
 )
 from hankelkit.inverse import SolvabilityReport, TargetLike, as_targets
-from hankelkit.polynomials import poly_P, poly_Q
+from hankelkit.polynomials import Polynomial, poly_P, poly_Q
 from hankelkit.scalars import exact_kth_root
 
 
@@ -303,7 +302,9 @@ def oracle_degree_profile(s: Sequence[Fraction], polys: Sequence):
 class FractionStepScanner(HankelScanner):
     """HankelScanner whose block steps derive their integer coefficients by
     Fraction algebra: u, the gap formula, a_{gap+1} = D_n / D_{r-1}, beta and
-    their common denominator, as the pass did before its steps ran on integers."""
+    their common denominator, as the pass did before its steps ran on integers.
+    Each step is recorded as the pass records it (:meth:`HankelScanner._step`),
+    on the p_int entries of a resumed scan."""
 
     def _run(self) -> None:
         m_top = len(self.terms) - 1
@@ -348,7 +349,7 @@ class FractionStepScanner(HankelScanner):
                 c[gap - t] = -acc
             h = math.gcd(k, c_b, *c)
             c, c_b, k = [x // h for x in c], c_b // h, k // h
-            self.steps.append(ScanStep(r, r_next, tuple(c), c_b))
+            self.steps.append(self._step(r, r_next, c, c_b, k))
 
             lo, hi = r_next, m_top - r_next
             acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
@@ -362,6 +363,7 @@ class FractionStepScanner(HankelScanner):
                         acc_p[i + e] += ci * x
             g = math.gcd(k, *acc_m, *acc_p)
             p_prev, m_prev, f_prev = p_cur, m_cur, f_gamma
+            self._prev_mu = 1
             p_cur, m_cur, q_cur = [x // g for x in acc_p], [0] * lo + [x // g for x in acc_m], k // g
             r, j, d_prev = r_next, r_next, d_new
         self._r, self._j, self._d_prev = r, j, d_prev
@@ -372,6 +374,16 @@ class FractionStepScanner(HankelScanner):
 def oracle_hankel_scan(s: Sequence[Fraction], polys: bool = False) -> HankelScan:
     """hankel_scan with the Fraction-algebra block steps of FractionStepScanner."""
     return FractionStepScanner(polys).extend(s).result()
+
+
+def eval_mpf(p: Polynomial, x, precision_bits: int):
+    """p(x) by Horner in mpmath arithmetic at the stated precision, each
+    coefficient entering as mp.mpf(numerator) / denominator."""
+    with mp.workprec(precision_bits):
+        acc = mp.mpf(0)
+        for c in reversed(p.coeffs):
+            acc = acc * x + mp.mpf(c.numerator) / c.denominator
+        return +acc
 
 
 def oracle_measure_floats(s: Sequence[Fraction], enclosures, precision_bits: int) -> list[tuple]:

@@ -44,7 +44,7 @@ from hankelkit.approximants import _extension_values
 from hankelkit.core import as_moments
 from hankelkit.polynomials import ZERO
 
-from oracles import oracle_hankel_det, random_fraction, random_nonzero_fraction, random_sequence
+from oracles import eval_mpf, oracle_hankel_det, random_fraction, random_nonzero_fraction, random_sequence
 from test_approximants import random_recurrent
 from test_measures import random_atoms
 
@@ -300,12 +300,10 @@ def test_criterion_08_construct_then_recover_measures():
                 assert abs(atom.weight.value - w) <= tol_atoms
                 # dual-route weights, recomputed here rather than trusted
                 lam = atom.location.value
-                w_residue = q_r.eval_mpf(lam, PRECISION_BITS) / p_prime.eval_mpf(
-                    lam, PRECISION_BITS
-                )
+                w_residue = eval_mpf(q_r, lam, PRECISION_BITS) / eval_mpf(p_prime, lam, PRECISION_BITS)
                 cd_sum = mp.mpf(0)
                 for k in range(r):
-                    value = p_family[k].eval_mpf(lam, PRECISION_BITS)
+                    value = eval_mpf(p_family[k], lam, PRECISION_BITS)
                     num = d[k + 1] * d[k]
                     cd_sum += value * value * mp.mpf(num.denominator) / mp.mpf(
                         num.numerator

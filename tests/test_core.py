@@ -13,13 +13,24 @@ from hankelkit import (
     MomentSequence,
     ParseError,
     binomial_transform,
+    cd_identity_residual,
     determinant_transform,
+    finite_rank_checks,
+    frobenius_recurrence_residual,
+    gap_determinant,
     hankel_det,
     hankel_matrix,
     hankel_minor,
+    jacobi_from_moments,
+    kronecker_residual,
     matrix_rank,
     parse_rational,
+    poly_P,
+    rational_form,
+    recurrence_coeffs,
     shifted_det,
+    shifted_gap_det,
+    shifted_recurrence_coeffs,
 )
 from hankelkit.core import bottom_row_minors, echelonize, fraction_free_det, solve_unique
 from hankelkit.scalars import _QUOTE, _check_expanded_size, format_rational
@@ -177,6 +188,53 @@ class TestHankelDet:
     def test_matches_cofactor_oracle_property(self, values):
         n = (len(values) - 1) // 2
         assert hankel_det(values, n) == oracle_hankel_det(values, n)
+
+
+# Moments of five atoms, so D_0..D_4 > 0, and a prefix whose D_1..D_3 vanish.
+FIVE_ATOMS = [
+    sum(w * x**k for x, w in ((F(-1), 1), (F(0), 2), (F(1, 2), F(1, 3)), (F(2), 1), (F(3), F(1, 2))))
+    for k in range(14)
+]
+PLANTED_GAP = [F(v) for v in (1, 0, 0, 0, 0, 2, 1, -1, 0, 3, 1, 1)]
+
+# Every reader of D_n, D'_{n+1} or P_n, with s_top the last term of the prefix that fixes its value.
+PREFIX_READERS = [
+    ("hankel_det", lambda s: hankel_det(s, 3), 6, FIVE_ATOMS),
+    ("shifted_det", lambda s: shifted_det(s, 3), 7, FIVE_ATOMS),
+    ("poly_P", lambda s: poly_P(s, 3), 5, FIVE_ATOMS),
+    ("kronecker_residual", lambda s: kronecker_residual(s, 3), 5, FIVE_ATOMS),
+    ("frobenius_recurrence_residual", lambda s: frobenius_recurrence_residual(s, 3), 7, FIVE_ATOMS),
+    ("jacobi_from_moments", lambda s: jacobi_from_moments(s, 4), 7, FIVE_ATOMS),
+    ("cd_identity_residual", lambda s: cd_identity_residual(s, 4), 7, FIVE_ATOMS),
+    ("finite_rank_checks", lambda s: finite_rank_checks(s, 5), 9, FIVE_ATOMS),
+    ("recurrence_coeffs", lambda s: recurrence_coeffs(s, 3), 5, FIVE_ATOMS),
+    (
+        "shifted_recurrence_coeffs",
+        lambda s: shifted_recurrence_coeffs(recurrence_coeffs(FIVE_ATOMS, 3), s, 2),
+        5,
+        FIVE_ATOMS,
+    ),
+    ("gap_determinant", lambda s: gap_determinant(s, 1, 3), 8, PLANTED_GAP),
+    ("shifted_gap_det", lambda s: shifted_gap_det(s, 3), 7, FIVE_ATOMS),
+    ("rational_form", lambda s: rational_form(s, 3), 5, FIVE_ATOMS),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, top, s", [case[1:] for case in PREFIX_READERS], ids=[case[0] for case in PREFIX_READERS]
+)
+class TestPrefixRule:
+    """Each reader needs s_0..s_top: one term less names s_top, one term more changes nothing."""
+
+    def test_one_term_short_names_the_missing_index(self, reader, top, s):
+        with pytest.raises(IndexOutOfRange) as info:
+            reader(s[:top])
+        assert (info.value.needed, info.value.horizon) == (top, top)
+        assert str(info.value) == f"needs moment index {top} but only indices 0..{top - 1} are known"
+
+    def test_the_defining_prefix_gives_the_longer_prefix_value(self, reader, top, s):
+        assert len(s) > top + 1
+        assert reader(s[: top + 1]) == reader(s)
 
 
 class TestFractionFreeDet:

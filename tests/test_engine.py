@@ -6,7 +6,8 @@ cofactor expansion (`tests/oracles.py`).  The strategies plant the inputs
 where the gap machinery does real work: sparse entries that open zero runs,
 s_0 = 0, finite-rank tails, and prefixes that end inside a zero run.  A
 scanner fed the same prefixes in chunks, with new denominators arriving late,
-must match one scan of every prefix it has seen.  On the same
+must match one scan of every prefix it has seen, and each of its block steps
+must combine the p_int entries it returns into the next one.  On the same
 strategies, `degree_profile`, which reads its report off the scan's block
 steps, must match monic division of Bareiss P_n (`oracle_degree_profile`).
 Every field of the scan, each block step's integer coefficients with their
@@ -148,6 +149,22 @@ def assert_same_scan(got, want, context):
     assert all(type(x) is int for step in got.steps for x in (*step.c, step.c_b)), context
 
 
+def assert_steps_hold(scan, context):
+    """Each step's identity on the scan's own p_int: sum_i c[i] x^i p_int[r] + c_b p_int[r']
+    is a nonzero multiple of p_int[r_next], r' the r of the step before."""
+    p = scan.p_int
+    for k, (r, r_next, c, c_b) in enumerate(scan.steps):
+        combo = [0] * (r_next + 1)
+        for i, ci in enumerate(c):
+            for e, x in enumerate(p[r]):
+                combo[i + e] += ci * x
+        for e, x in enumerate(p[scan.steps[k - 1].r] if k else ()):
+            combo[e] += c_b * x
+        target = p[r_next]
+        assert len(target) == r_next + 1 and combo[-1], (context, k)
+        assert [x * target[-1] for x in combo] == [x * combo[-1] for x in target], (context, k)
+
+
 def check_against_elimination(s):
     m_top = len(s) - 1
     scan = hankel_scan(s, polys=True)
@@ -171,6 +188,7 @@ def check_against_elimination(s):
     assert (without.d_values, without.d_prime_values) == (scan.d_values, scan.d_prime_values)
     assert_same_scan(scan, oracle_hankel_scan(s, polys=True), s)
     assert_same_scan(without, oracle_hankel_scan(s), s)
+    assert_steps_hold(scan, s)
 
 
 class TestScanMatchesElimination:
@@ -280,6 +298,21 @@ class TestResumedScan:
             assert len(got.p_int) == len(want.p_int)
             for n in range(len(want.p_int)):
                 assert got.p_coeffs(n) == want.p_coeffs(n), (s, cuts, hi, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        chunked(),
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=3), min_size=2, max_size=20)
+        .map(lambda s: (s, list(range(1, len(s))))),  # one term at a time
+    ))
+    @example(([F(-1), F(1), F(3, 2), F(-1)], [1, 2, 3]))
+    def test_resumed_steps_hold_on_their_p_int(self, case):
+        # New denominators multiply the open P_r and P_{r'} up; each step must still
+        # name the p_int entries it combines.
+        s, cuts = case
+        scanner = HankelScanner(polys=True)
+        for lo, hi in zip([0] + cuts, cuts + [len(s)]):
+            assert_steps_hold(scanner.extend(s[lo:hi]).result(), (s, cuts, hi))
 
     def test_a_scan_without_polynomials_takes_one_extend(self):
         scanner = HankelScanner().extend([1, 2, 3])

@@ -39,6 +39,7 @@ from hankelkit.polynomials import ZERO
 from hankelkit.scalars import real_scalar
 
 from oracles import (
+    eval_mpf,
     oracle_isolate_real_roots,
     oracle_measure_floats,
     oracle_residual_bound,
@@ -601,7 +602,7 @@ class TestRecoverMeasure:
             target = mp.mpf(d_prev.numerator) ** 2 / mp.mpf(d_prev.denominator) ** 2
             for atom in measure.atoms:
                 lam = atom.location.value
-                value = p_prev.eval_mpf(lam, 256) * q_r.eval_mpf(lam, 256)
+                value = eval_mpf(p_prev, lam, 256) * eval_mpf(q_r, lam, 256)
                 assert abs(value - target) < mp.mpf("1e-30")
 
     def test_not_psd_rejected(self):
@@ -610,7 +611,7 @@ class TestRecoverMeasure:
 
     def test_weights_match_per_atom_evaluation_bit_for_bit(self):
         # Numeric path: coefficients are rounded to mpf once per measure; every
-        # weight must still be the residue Q_r/P_r' that Polynomial.eval_mpf
+        # weight must still be the residue Q_r/P_r' that oracles.eval_mpf
         # gives per atom.  recover_measure takes these rational atoms exactly:
         # the same locations, and each weight the exact one correctly rounded.
         rng = random.Random(5006)
@@ -631,7 +632,7 @@ class TestRecoverMeasure:
                 midpoint = atom.enclosure.midpoint
                 with mp.workprec(bits):
                     lam = mp.mpf(midpoint.numerator) / midpoint.denominator
-                    weight = q_r.eval_mpf(lam, bits) / p_prime.eval_mpf(lam, bits)
+                    weight = eval_mpf(q_r, lam, bits) / eval_mpf(p_prime, lam, bits)
                 assert atom.location.value == lam
                 assert atom.weight.value == weight
 

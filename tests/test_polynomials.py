@@ -249,6 +249,12 @@ class TestThreeTermRecurrence:
             s = random_sequence(rng, 2 * n + 2)
             assert frobenius_recurrence_residual(s, n) == ZERO
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_n_rejected(self, n):
+        # As poly_P does; a negative n must not read the prefix without its last terms.
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            frobenius_recurrence_residual([2, 1, 1, 1, 1, 1], n)
+
 
 class TestJacobi:
     def test_even_moments(self):

@@ -263,6 +263,11 @@ class TestFiniteRankChecks:
                 low = finite_rank_checks(s, r - 1)
                 assert not all(low.values())
 
+    def test_negative_rank_rejected(self):
+        # r = -1 must not read the prefix without its last two terms, where every check is vacuous.
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            finite_rank_checks([2, 1, 1, 1, 1, 1, 1], -1)
+
     def test_zero_sequence_is_rank_zero(self):
         checks = finite_rank_checks([0, 0, 0], 0)
         assert all(checks.values())
