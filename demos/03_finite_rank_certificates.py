@@ -4,8 +4,8 @@ A sequence has Hankel rank r exactly when it satisfies a linear recurrence of
 length r (equivalently, its generating series is rational with denominator
 degree r).  Determinant vanishing alone is NOT sufficient evidence on a
 finite prefix: the certificate here always confirms a candidate rank through
-an explicit recurrence before claiming it, and `finite_rank_checks` runs five
-logically independent checkers so no single route is trusted.
+an explicit recurrence before claiming it, and `finite_rank_checks` checks a
+claimed rank by five routes: one elimination and four readings of one scan.
 """
 
 from fractions import Fraction as F

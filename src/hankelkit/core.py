@@ -124,9 +124,7 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def _bareiss(
-    rows: Sequence[Sequence[Fraction]], stop_at_gap: bool = False
-) -> tuple[list[list[int]], list[int], int, int]:
+def _bareiss(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
     """Rank-revealing fraction-free (Bareiss) row echelon form.
 
     Rows are first scaled to integers by their denominator lcm.  A column's
@@ -134,9 +132,9 @@ def _bareiss(
     arithmetic any nonzero pivot is as good as any other.  A pivot step sets
     row = (pivot * row - entry * pivot row) / previous pivot, an exact
     division whose k-th pivot is the minor on the first k rows and pivot
-    columns (Sylvester's identity).  A column without a pivot is skipped, or
-    with stop_at_gap ends the elimination.  Returns (integer echelon rows,
-    pivot columns, row-swap sign, product of the row scalings).
+    columns (Sylvester's identity).  A column without a pivot is skipped.
+    Returns (integer echelon rows, pivot columns, row-swap sign, product of
+    the row scalings).
     """
     scaled = [scale_to_integers(row) for row in rows]
     m = [ints for ints, _ in scaled]
@@ -152,8 +150,6 @@ def _bareiss(
             break
         pivot = next((i for i in range(k, nrows) if m[i][col] != 0), None)
         if pivot is None:
-            if stop_at_gap:
-                break
             continue
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
@@ -172,11 +168,12 @@ def _bareiss(
 
 
 def fraction_free_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix: the last Bareiss pivot, unscaled."""
+    """Exact determinant of a square matrix: the last Bareiss pivot, unscaled
+    (0 when a column has no pivot)."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m, pivot_cols, sign, scaling = _bareiss(rows, stop_at_gap=True)
+    m, pivot_cols, sign, scaling = _bareiss(rows)
     if len(pivot_cols) < n:
         return Fraction(0)
     return Fraction(sign * m[n - 1][n - 1], scaling)

@@ -96,7 +96,7 @@ from .errors import (
     ZeroSequence,
 )
 from .polynomials import ZERO, Polynomial, _jacobi_read_off, second_kind
-from .rank import recurrence_holds
+from .rank import _finite_rank
 from .scalars import (
     DEFAULT_PRECISION_BITS,
     RealScalar,
@@ -192,9 +192,7 @@ def _psd_flat_scan(seq: MomentSequence) -> tuple[int, HankelScan]:
         raise NotPSDFlat(
             r - 1, d[r - 1], "determinants never vanish within the horizon"
         )
-    # The FiniteRank(r) certificate of hankel_rank: r = 0 has none, otherwise
-    # the recurrence read off P_r must annihilate the whole prefix.
-    if r == 0 or not recurrence_holds(seq, scan.p_int[r], r):
+    if not _finite_rank(seq, scan, r):
         raise NotPSDFlat(
             r,
             d[r - 1] if r else Fraction(0),

@@ -8,9 +8,10 @@ and the terms satisfy the length-r recurrence
 D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 for all m >= 0.
 
 `hankel_rank` certifies via the recurrence route (the cheapest exact one) and
-`finite_rank_checks` evaluates every route independently so tests can insist
-they agree.  All verdicts are horizon-certified: finite data can only attest
-prefix consistency, so the certificate records how far it looked.
+`finite_rank_checks` evaluates the routes, one elimination and four readings
+of one scan, so tests can insist they agree.  All verdicts are
+horizon-certified: finite data can only attest prefix consistency, so the
+certificate records how far it looked.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p, approx_sequence
+from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
 from .core import (
     DeterminantProfile,
+    HankelScan,
     MomentSequence,
     SequenceLike,
-    _scan_through,
+    _require_index,
     as_moments,
-    determinant_transform,
     echelonize,
-    hankel_det,
     hankel_scan,
     scale_to_integers,
 )
@@ -81,27 +81,28 @@ class RankCertificate:
 def hankel_rank(s: SequenceLike) -> RankCertificate:
     """Certify the Hankel rank of s as far as the prefix allows.
 
-    FiniteRank(r) is emitted iff D_{r-1} != 0, the recurrence
-    D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 holds for every in-prefix
-    m >= 0, and r's defining data s_0..s_{2r-1} is in the prefix; otherwise
-    RankAtLeast(r) with r the last nonvanishing-determinant index + 1.
-    The profile and P_r come from one scan with polynomials.
+    With r the last nonvanishing-determinant index + 1, FiniteRank(r) is
+    emitted iff the rule of :func:`_finite_rank` holds for r; otherwise
+    RankAtLeast(r).  The profile and P_r come from one scan with polynomials.
     """
     seq = as_moments(s)
     scan = hankel_scan(seq, polys=True)
     profile = DeterminantProfile(scan.d_values, scan.d_prime_values, seq.horizon)
     if seq.is_zero():
         return RankCertificate("ZeroSequence", 0, seq.horizon, None, profile)
-    r_star = 0
-    for n, value in enumerate(profile.d_values):
-        if value != 0:
-            r_star = n + 1
-    if r_star == 0 or 2 * r_star - 1 > seq.max_index:
-        return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    if not recurrence_holds(seq, scan.p_int[r_star], r_star):
+    r_star = 1 + max((n for n, value in enumerate(scan.d_values) if value != 0), default=-1)
+    if not _finite_rank(seq, scan, r_star):
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
     witness = _recurrence_from_p(scan.p_coeffs(r_star), r_star)
     return RankCertificate("FiniteRank", r_star, seq.horizon, witness, profile)
+
+
+def _finite_rank(seq: MomentSequence, scan: HankelScan, r: int) -> bool:
+    """The FiniteRank(r) rule on a scan with polynomials of all of seq: P_r is
+    in the scan (s_0..s_{2r-1} are known) with degree r (D_{r-1} != 0), and
+    D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 for every in-prefix m >= 0."""
+    p = scan.p_int[r] if r < len(scan.p_int) else ()
+    return len(p) == r + 1 and recurrence_holds(seq, p, r)
 
 
 def recurrence_holds(seq: MomentSequence, p: Sequence[int], r: int) -> bool:
@@ -179,14 +180,15 @@ def growth_estimate(s: SequenceLike, precision_bits: int) -> RealScalar:
 def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
     """Evaluate each equivalent characterization of 'Hankel rank r' separately.
 
-    Returns a dict of independent boolean verdicts; on any genuine rank-r
-    prefix they must all be True, and tests rely on their unanimity:
+    Returns a dict of boolean verdicts; on any genuine rank-r prefix they must
+    all be True, and tests rely on their unanimity.  The window rank is one
+    elimination; the other four read one scan with polynomials of the prefix:
 
     - "window_rank": the largest rectangular Hankel window of the prefix has
       matrix rank exactly r (row reduction, no determinants).
     - "determinants_vanish": D_{r-1} != 0 and every computable D_n = 0 for n >= r.
-    - "recurrence_holds": the length-r recurrence with weights from P_r's
-      coefficients annihilates the whole prefix.
+    - "recurrence_holds": the FiniteRank(r) rule of :func:`_finite_rank`: P_r has
+      degree r and its length-r recurrence annihilates the whole prefix.
     - "approximant_match": the rank-r approximating sequence reproduces the
       prefix term-for-term.
     - "rational_expansion_match": re-expanding Q_r/P_r reproduces the prefix.
@@ -194,7 +196,9 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
     if r < 0:
         raise ValueError("r must be >= 0")
     seq = as_moments(s)
-    p = _scan_through(seq, 2 * r - 1, polys=True).p_int[r]
+    _require_index(seq, 2 * r - 1)
+    scan = hankel_scan(seq, polys=True)
+    d = scan.d_values
     m = seq.max_index
 
     n_rows = m // 2 + 1
@@ -202,28 +206,19 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
     window = [[seq[i + j] for j in range(n_cols)] for i in range(n_rows)]
     window_rank = len(echelonize(window)[2]) == r
 
-    profile = determinant_transform(seq) if len(seq) else DeterminantProfile((), (), 0)
-    lead_ok = r == 0 or (len(profile.d_values) >= r and profile.d_values[r - 1] != 0)
-    determinants_vanish = lead_ok and all(
-        value == 0 for value in profile.d_values[r:]
-    )
+    lead_ok = r == 0 or d[r - 1] != 0
+    determinants_vanish = lead_ok and all(value == 0 for value in d[r:])
 
-    annihilates = recurrence_holds(seq, p, r)
-
-    if r >= 1 and hankel_det(seq, r - 1) != 0:
-        approximant_match = approx_sequence(seq, r, m) == seq
-        rational_expansion_match = expand_rational(rational_form(seq, r), m) == seq
-    elif r == 0:
-        approximant_match = seq.is_zero()
-        rational_expansion_match = seq.is_zero()
-    else:
-        approximant_match = False
-        rational_expansion_match = False
+    approximant_match = rational_expansion_match = r == 0 and seq.is_zero()
+    if r and lead_ok:
+        p = Polynomial(scan.p_coeffs(r))
+        approximant_match = _extension_values(seq, _recurrence_from_p(p.coeffs, r), m) == list(seq.terms)
+        rational_expansion_match = expand_rational(RationalForm(p, second_kind(seq, p)), m) == seq
 
     return {
         "window_rank": window_rank,
         "determinants_vanish": determinants_vanish,
-        "recurrence_holds": annihilates,
+        "recurrence_holds": _finite_rank(seq, scan, r),
         "approximant_match": approximant_match,
         "rational_expansion_match": rational_expansion_match,
     }

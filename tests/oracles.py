@@ -39,6 +39,7 @@ from hankelkit.core import (
     hankel_det,
     scale_to_integers,
 )
+from hankelkit.errors import IndexOutOfRange
 from hankelkit.inverse import SolvabilityReport, TargetLike, as_targets
 from hankelkit.polynomials import Polynomial, poly_P, poly_Q
 from hankelkit.scalars import exact_kth_root
@@ -147,6 +148,48 @@ def oracle_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if row == n_rows:
             break
     return rank
+
+
+def oracle_finite_rank_checks(s: Sequence[Fraction], r: int) -> dict[str, bool]:
+    """finite_rank_checks from the definitions: the window rank by
+    oracle_rank, every D_n by cofactor expansion, P_r and Q_r from their
+    determinant definitions, and the recurrence, the rank-r extension and
+    the series of Q_r/P_r in Fractions.  Needs s_0..s_{2r-1}."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    s = [Fraction(v) for v in s]
+    top = len(s) - 1
+    if 2 * r - 1 > top:
+        raise IndexOutOfRange(2 * r - 1, len(s))
+    n_rows = top // 2 + 1
+    window = [[s[i + j] for j in range(top + 2 - n_rows)] for i in range(n_rows)]
+    d = [oracle_hankel_det(s, n) for n in range(n_rows)]
+    p = oracle_poly_coeffs(s, r)  # p[r] = D_{r-1}
+    if p[r] == 0:
+        approximant = expansion = False
+    else:
+        # s_n = -sum_{k<r} p_k s_{n-r+k} / p_r past the copied s_0..s_{2r-1}.
+        ext = s[: 2 * r]
+        while len(ext) < len(s):
+            ext.append(-sum(p[k] * ext[len(ext) - r + k] for k in range(r)) / p[r])
+        approximant = ext == s
+        # Q_r/P_r = y Q~(y)/P~(y) in y = 1/x, Q~ = sum q_j y^{r-1-j} and P~ = sum p_k y^{r-k}:
+        # long division of the power series.
+        q = oracle_q_coeffs(s, r)
+        series: list[Fraction] = []
+        for m in range(len(s)):
+            acc = q[r - 1 - m] if m < r and r - 1 - m < len(q) else Fraction(0)
+            acc -= sum(p[r - i] * series[m - i] for i in range(1, min(m, r) + 1))
+            series.append(acc / p[r])
+        expansion = series == s
+    return {
+        "window_rank": oracle_rank(window) == r,
+        "determinants_vanish": (r == 0 or d[r - 1] != 0) and all(v == 0 for v in d[r:]),
+        "recurrence_holds": p[r] != 0
+        and all(sum(p[k] * s[k + m] for k in range(r + 1)) == 0 for m in range(len(s) - r)),
+        "approximant_match": approximant,
+        "rational_expansion_match": expansion,
+    }
 
 
 def oracle_sturm_chain(p) -> list:

@@ -4,11 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hankelkit import (
     DegreeViolation,
     DeterminantProfile,
+    HankelError,
     IndexOutOfRange,
     Polynomial,
     RankCertificate,
@@ -22,11 +25,13 @@ from hankelkit import (
     hankel_rank,
     poly_P,
     poly_Q,
+    psd_finite_rank_check,
     rational_form,
 )
+from hankelkit import core
 from hankelkit.polynomials import ONE, X, ZERO
 
-from oracles import random_fraction
+from oracles import oracle_finite_rank_checks, random_fraction
 
 from test_approximants import random_recurrent
 
@@ -282,3 +287,73 @@ class TestFiniteRankChecks:
             assert not checks["recurrence_holds"]
             assert not checks["approximant_match"]
             assert not checks["rational_expansion_match"]
+
+    @pytest.mark.parametrize(
+        "s, r",
+        [([1, 0, 0, 0, 1, 0, 0, 0], 2), ([0, 0, 0, 0, 0, 1], 1), ([0, 0, 0, 0, F(-1, 2), 0, 0, 0], 4)],
+    )
+    def test_low_degree_p_r_holds_no_recurrence(self, s, r):
+        # P_r = 0 in the first two and P_4 = 1/16 in the third: with deg P_r < r there is
+        # no length-r recurrence, and checking P_r's few coefficients against the terms
+        # proves nothing.
+        assert poly_P(s, r)[r] == 0
+        assert not finite_rank_checks(s, r)["recurrence_holds"]
+
+    def test_one_pass_per_call(self, monkeypatch):
+        passes = []
+        extend = core.HankelScanner.extend
+
+        def counted(scanner, values):
+            passes.append(len(values))
+            return extend(scanner, values)
+
+        monkeypatch.setattr(core.HankelScanner, "extend", counted)
+        assert all(finite_rank_checks([2, 1, 1, 1, 1, 1, 1, 1, 1], 2).values())
+        assert passes == [9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle(self, data):
+        s = data.draw(rank_prefixes())
+        r = data.draw(st.integers(0, len(s) // 2 + 2), label="r")
+        assert outcome(finite_rank_checks, s, r) == outcome(oracle_finite_rank_checks, s, r)
+        try:
+            flat = psd_finite_rank_check(s)
+        except HankelError:
+            return
+        cert = hankel_rank(s)
+        assert (cert.verdict, cert.rank) == ("FiniteRank", flat)
+
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rank_prefixes(draw) -> list:
+    """0-14 terms: generic, with planted zero runs, of a planted length-r
+    recurrence, or the moments of a few positive atoms."""
+    n = draw(st.integers(0, 14))
+    kind = draw(st.sampled_from(["generic", "zero_runs", "recurrence", "atoms"]))
+    if kind == "generic":
+        return draw(st.lists(small_fractions, min_size=n, max_size=n))
+    if kind == "zero_runs":
+        terms = draw(st.lists(small_fractions, min_size=n, max_size=n))
+        zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return [F(0) if z else v for v, z in zip(terms, zero)]
+    if kind == "recurrence":
+        r = draw(st.integers(1, 4))
+        terms = draw(st.lists(small_fractions, min_size=r, max_size=r))
+        d = draw(st.lists(small_fractions, min_size=r, max_size=r))
+        while len(terms) < n:
+            terms.append(sum(dk * terms[len(terms) - r + k] for k, dk in enumerate(d)))
+        return terms[:n]
+    atoms = draw(st.lists(st.tuples(small_fractions, st.integers(1, 4)), min_size=1, max_size=4))
+    return [sum(w * x**k for x, w in atoms) for k in range(n)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IndexOutOfRange as err:
+        return ("IndexOutOfRange", err.needed, err.horizon, str(err))
+
