@@ -18,7 +18,7 @@ p_{n_{k+1}} = a_k(x) p_{n_k} - beta_k p_{n_{k-1}} on the monic normalizations
 is reported as 1 by convention).  All of it is read off the block steps of
 one :func:`core.hankel_scan`, which builds P_n by that recurrence; an anomaly
 means a full-degree P_n failed the independent check against the moments,
-L(x^j P_n) = 0 for j < n.
+L(x^j P_n) = 0 for j < n (:func:`core._is_witness`, no code of the scan).
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import mul
 from typing import Sequence, Union
 
 from .core import (
     MomentSequence,
     SequenceLike,
+    _is_witness,
     _require_index,
     _scan_through,
     as_moments,
@@ -279,9 +279,7 @@ def degree_profile(s: SequenceLike) -> StructureReport:
         else:
             beta = Fraction(-c_b * p_int[scan.steps[k - 1].r][-1], top * p_int[r][-1])
         p = p_int[r_next]
-        consistent = len(p) == r_next + 1 and not any(
-            sum(map(mul, p, ints[j : j + r_next + 1])) for j in range(r_next)
-        )
+        consistent = _is_witness(p, ints, r_next, r_next)
         if not consistent:
             anomalies.append(f"P_{r_next} from block k={k} fails L(x^j P_{r_next}) = 0, j < {r_next}")
         blocks.append(BlockStep(k, a, beta, consistent))

@@ -18,6 +18,13 @@ determinants and single minors (:func:`hankel_minor`), rank, solves and
 maximal minors.  It is also the independent route the tests check the pass
 against.
 
+The moment functional L(x^j p) = sum_i p_i s_{i+j} on lcm-scaled terms is
+:func:`_moment`, and :func:`_is_witness` tests "deg p = r and L(x^j p) = 0
+for j < stop"; the certificate, the degree profile, the FiniteRank rule, Q_r
+and ``apply_L`` evaluate L through them.  The pass keeps its own sums: the
+certificate and the profile check exist to catch a faulty pass, so they
+share no code with it.
+
 D_n is fixed by s_0..s_{2n}, D'_{n+1} by s_0..s_{2n+1} and P_n by
 s_0..s_{2n-1}.  Every function, here and in the other modules, that reads
 them up to an index it is given scans exactly those terms through one
@@ -124,6 +131,17 @@ def scale_to_integers(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
+def _moment(p: Sequence[int], ints: Sequence[int], j: int = 0) -> int:
+    """lambda L(x^j p) = sum_i p_i u_{i+j} for integer p, on the terms scaled
+    to integers u = lambda s; the sum stops at the last term."""
+    return sum(map(operator.mul, p, ints[j : j + len(p)]))
+
+
+def _is_witness(p: Sequence[int], ints: Sequence[int], r: int, stop: int) -> bool:
+    """Whether p has degree r and L(x^j p) = 0 for 0 <= j < stop."""
+    return len(p) == r + 1 and not any(_moment(p, ints, j) for j in range(stop))
+
+
 def _bareiss(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
     """Rank-revealing fraction-free (Bareiss) row echelon form.
 
@@ -203,28 +221,11 @@ def echelonize(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int
 
 
 def bottom_row_minors(rows: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """All maximal minors M_j (column j deleted) of an n x (n+1) matrix, one pass.
-
-    If the matrix has full row rank, its kernel is spanned by the vector
-    w_j = c (-1)^j M_j (Cramer); one elimination yields both a kernel vector
-    and the minor deleting the one non-pivot column q (sign * last pivot /
-    scaling), which fixes the scale c.  Rank < n makes every maximal minor zero.
-    """
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    m, pivot_cols, sign, scaling = _bareiss(rows)
-    if len(pivot_cols) < n:
-        return [Fraction(0)] * (n + 1)
-    q = next(c for c in range(n + 1) if c not in pivot_cols)
-    minor_q = Fraction(sign * m[n - 1][pivot_cols[-1]], scaling)
-    w = [Fraction(0)] * (n + 1)
-    w[q] = Fraction(1)
-    for i in range(n - 1, -1, -1):
-        c = pivot_cols[i]
-        acc = sum((m[i][j] * w[j] for j in range(c + 1, n + 1) if w[j] != 0), Fraction(0))
-        w[c] = -acc / m[i][c]
-    return [minor_q * w[j] if (j + q) % 2 == 0 else -minor_q * w[j] for j in range(n + 1)]
+    """All maximal minors M_j (column j deleted) of an n x (n+1) matrix."""
+    return [
+        fraction_free_det([[x for i, x in enumerate(row) if i != j] for row in rows])
+        for j in range(len(rows) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ the printed solution, rounded up; it must not exceed the requested tolerance.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from decimal import Decimal
@@ -48,7 +47,7 @@ from mpmath import mp
 from mpmath.libmp import from_rational, round_ceiling
 
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
-from .core import HankelScanner, MomentSequence, scale_to_integers
+from .core import HankelScanner, MomentSequence, _is_witness, _moment, scale_to_integers
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
@@ -365,11 +364,13 @@ def _certify(
     The witnesses are the polynomials P_r of a scan: the given scanner, first
     extended over the terms it has not taken, or a new scan of the terms.
     Nothing the scan computed is trusted.  Each check is an integer dot
-    product L(x^j P) = sum_i p_i s_{i+j} over the lcm-scaled terms.  From
-    D_{-1} = 1 and P_0 = 1, at each full-degree index r:
+    product L(x^j P) = sum_i p_i s_{i+j} over the lcm-scaled terms
+    (:func:`core._moment`).  From D_{-1} = 1 and P_0 = 1, at each full-degree
+    index r:
 
-    (a) P_r must have degree r, leading coefficient the D_{r-1} proved here
-        (nonzero), and L(x^j P_r) = 0 for j < r;
+    (a) P_r must be a witness (:func:`core._is_witness`, stop = r): degree r
+        and L(x^j P_r) = 0 for j < r, with leading coefficient the D_{r-1}
+        proved here (nonzero);
     (b) if j >= r is the first index with u = L(x^j P_r) != 0, then P_r is a
         kernel vector of H_m, so D_m = 0, for r <= m < j;
     (c) D_j = (-1)^{g(g-1)/2} u^g / D_{r-1}^{g-1}, g = j - r + 1, and the
@@ -388,21 +389,18 @@ def _certify(
     if len(terms) > len(scanner.terms):
         scanner.extend(terms[len(scanner.terms) :])
 
-    def dot(p: Sequence[int], j: int) -> int:
-        return sum(map(operator.mul, p, ints[j : j + len(p)]))
-
     dets = [Fraction(0)] * len(targets)
     r, d_prev, p, factor = 0, Fraction(1), (1,), Fraction(1)
     while r <= n_top:
         if r:
             p, factor = scanner.p_int[r], scanner.p_factor[r]
-            if len(p) != r + 1 or factor * p[r] != d_prev or any(dot(p, j) for j in range(r)):
+            if not _is_witness(p, ints, r, r) or factor * p[r] != d_prev:
                 raise RuntimeError(
                     f"internal error: the scan's P_{r} is not the determinantal "
                     "polynomial of the solution"
                 )
         j = r
-        while j <= n_top and not (u_int := dot(p, j)):
+        while j <= n_top and not (u_int := _moment(p, ints, j)):
             j += 1
         if j > n_top:
             break  # D_r = .. = D_N = 0

@@ -81,6 +81,7 @@ from .core import (
     HankelScan,
     MomentSequence,
     SequenceLike,
+    _moment,
     _scan_through,
     as_moments,
     hankel_scan,
@@ -721,11 +722,11 @@ def _exact_weights(seq: MomentSequence, coeffs: list[int], roots: Sequence[int])
     exactly: the ratio is the same for every multiple of P_r, so it is
     taken for the primitive p.  With the moments s_k = u_k / lambda over
     integers u, lambda Q has the integer coefficients
-    q_j = sum_{k > j} c_k u_{k-1-j}, and both sides are read by integer Horner.
+    q_j = lambda L(sum_k c_{k+j+1} x^k), and both sides are read by Horner.
     """
     r, lead = len(coeffs) - 1, coeffs[-1]
     u, scale = scale_to_integers([seq[k] for k in range(r)])
-    q = [sum(coeffs[k] * u[k - 1 - j] for k in range(j + 1, r + 1)) for j in range(r)]
+    q = [_moment(coeffs[j + 1 :], u) for j in range(r)]
     slope = [k * c for k, c in enumerate(coeffs)][1:]
     return [Fraction(_horner(q, m, lead), scale * _horner(slope, m, lead)) for m in roots]
 

@@ -27,6 +27,7 @@ from .core import (
     HankelScan,
     MomentSequence,
     SequenceLike,
+    _moment,
     _scan_through,
     as_moments,
     scale_to_integers,
@@ -243,16 +244,16 @@ def p_family(s: SequenceLike, n_max: int) -> tuple[Polynomial, ...]:
 def second_kind(s: SequenceLike, p: Polynomial) -> Polynomial:
     """The second-kind companion L_t[(p(x) - p(t)) / (x - t)] of p.
 
-    Its coefficients are convolutions of p's coefficients with the moments:
-    q_m = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.
+    Its coefficients are L of p shifted down: q_m = L(sum_k p_{k+m+1} x^k)
+    = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.
     """
     seq = as_moments(s)
     n = len(p.coeffs) - 1
-    # One integer convolution over the two denominator lcms, then one division per q_m.
+    # Integer sums over the two denominator lcms, then one division per q_m.
     p_int, p_scale = scale_to_integers(p.coeffs[1:])
     s_int, s_scale = scale_to_integers([seq[k] for k in range(n)])
     scale = p_scale * s_scale
-    return Polynomial(Fraction(sum(p_int[k + m] * s_int[k] for k in range(n - m)), scale) for m in range(n))
+    return Polynomial(Fraction(_moment(p_int[m:], s_int), scale) for m in range(n))
 
 
 def poly_Q(s: SequenceLike, n: int) -> Polynomial:
@@ -272,10 +273,9 @@ def apply_L(s: SequenceLike, p: Polynomial) -> Fraction:
     seq = as_moments(s)
     if not p.is_zero() and p.degree > seq.max_index:
         raise IndexOutOfRange(p.degree, seq.horizon)
-    acc = Fraction(0)
-    for k, c in enumerate(p.coeffs):
-        acc += c * seq[k]
-    return acc
+    p_int, p_scale = scale_to_integers(p.coeffs)
+    s_int, s_scale = scale_to_integers(seq.terms[: len(p_int)])
+    return Fraction(_moment(p_int, s_int), p_scale * s_scale)
 
 
 def kronecker_residual(s: SequenceLike, r: int) -> Fraction:

@@ -5,20 +5,20 @@ the infinite Hankel matrix has matrix rank r; the determinants satisfy
 D_{r-1} != 0 with D_n = 0 for every n >= r; the generating series
 sum s_k / x^{k+1} is the rational function Q_r(x)/P_r(x) with deg P_r = r;
 and the terms satisfy the length-r recurrence
-D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 for all m >= 0.
+L(x^m P_r) = D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 for all m >= 0.
 
-`hankel_rank` certifies via the recurrence route (the cheapest exact one) and
-`finite_rank_checks` evaluates the routes, one elimination and four readings
-of one scan, so tests can insist they agree.  All verdicts are
-horizon-certified: finite data can only attest prefix consistency, so the
-certificate records how far it looked.
+`hankel_rank` certifies by the FiniteRank rule (:func:`_finite_rank`: the
+recurrence route, the cheapest exact one) and `finite_rank_checks` evaluates
+the routes, one elimination and four readings of one scan, so tests can
+insist they agree.  All verdicts are horizon-certified: finite data can
+only attest prefix consistency, so the certificate records how far it looked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
 from .core import (
@@ -26,6 +26,7 @@ from .core import (
     HankelScan,
     MomentSequence,
     SequenceLike,
+    _is_witness,
     _require_index,
     as_moments,
     echelonize,
@@ -100,22 +101,10 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
 def _finite_rank(seq: MomentSequence, scan: HankelScan, r: int) -> bool:
     """The FiniteRank(r) rule on a scan with polynomials of all of seq: P_r is
     in the scan (s_0..s_{2r-1} are known) with degree r (D_{r-1} != 0), and
-    D_{r-1} s_{r+m} + sum_{k<r} p_{r,k} s_{k+m} = 0 for every in-prefix m >= 0."""
+    L(x^m P_r) = 0 for every in-prefix m >= 0, on the integers of P_r and
+    the lcm-scaled terms."""
     p = scan.p_int[r] if r < len(scan.p_int) else ()
-    return len(p) == r + 1 and recurrence_holds(seq, p, r)
-
-
-def recurrence_holds(seq: MomentSequence, p: Sequence[int], r: int) -> bool:
-    """Whether sum_{k<=r} p_k s_{k+m} = 0 for every in-prefix m >= 0.
-
-    p holds integer coefficients of a nonzero multiple of P_r, lowest first,
-    with absent high ones zero (the scan's p_int); the sequence is scaled to integers
-    by the lcm of its denominators, so the check is exact integer arithmetic.
-    """
-    s, _ = scale_to_integers(seq.terms)
-    return all(
-        sum(c * x for c, x in zip(p, s[m : m + r + 1])) == 0 for m in range(len(s) - r)
-    )
+    return _is_witness(p, scale_to_integers(seq.terms)[0], r, len(seq) - r)
 
 
 def rational_form(s: SequenceLike, r: int) -> RationalForm:
@@ -188,7 +177,8 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
       matrix rank exactly r (row reduction, no determinants).
     - "determinants_vanish": D_{r-1} != 0 and every computable D_n = 0 for n >= r.
     - "recurrence_holds": the FiniteRank(r) rule of :func:`_finite_rank`: P_r has
-      degree r and its length-r recurrence annihilates the whole prefix.
+      degree r and its length-r recurrence, L(x^m P_r) = 0, annihilates the
+      whole prefix.
     - "approximant_match": the rank-r approximating sequence reproduces the
       prefix term-for-term.
     - "rational_expansion_match": re-expanding Q_r/P_r reproduces the prefix.

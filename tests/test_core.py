@@ -32,7 +32,16 @@ from hankelkit import (
     shifted_gap_det,
     shifted_recurrence_coeffs,
 )
-from hankelkit.core import bottom_row_minors, echelonize, fraction_free_det, solve_unique
+from hankelkit.core import (
+    _is_witness,
+    _moment,
+    bottom_row_minors,
+    echelonize,
+    fraction_free_det,
+    hankel_scan,
+    scale_to_integers,
+    solve_unique,
+)
 from hankelkit.scalars import _QUOTE, _check_expanded_size, format_rational
 
 from oracles import (
@@ -40,6 +49,7 @@ from oracles import (
     oracle_hankel_det,
     oracle_rank,
     oracle_shifted_det,
+    random_nonzero_fraction,
     random_sequence,
 )
 
@@ -430,6 +440,35 @@ class TestLinearAlgebraHelpers:
             for j in range(n + 1):
                 sub = [row[:j] + row[j + 1 :] for row in rows]
                 assert minors[j] == cofactor_det(sub)
+
+
+class TestMomentFunctional:
+    """core._moment and core._is_witness, the one integer L(x^j p) of the library."""
+
+    def test_moment_is_the_scaled_functional(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            s = random_sequence(rng, rng.randint(1, 9))
+            p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+            j = rng.randint(0, len(s) - 1)
+            u, lam = scale_to_integers(s)
+            expected = sum((c * s[i + j] for i, c in enumerate(p) if i + j < len(s)), F(0))
+            assert F(_moment(p, u, j), lam) == expected
+
+    def test_scan_polynomials_are_witnesses(self):
+        rng = random.Random(2025)
+        for _ in range(60):
+            s = [random_nonzero_fraction(rng)] + random_sequence(rng, rng.randint(1, 11))
+            u, _ = scale_to_integers(s)
+            scan = hankel_scan(s, polys=True)
+            for r, p in enumerate(scan.p_int):
+                if len(p) != r + 1:
+                    assert not _is_witness(p, u, r, r)
+                    continue
+                assert _is_witness(p, u, r, r)
+                assert not _is_witness(p + (0,), u, r, r)
+                if r:
+                    assert not _is_witness((p[0] + 1,) + p[1:], u, r, r)
 
 
 class TestTheoremZeroPrefix:
