@@ -9,10 +9,16 @@ transform.  Everything here is exact.
 Every D_n, D'_{n+1} and determinant polynomial P_n of a prefix comes from
 one O(M^2) pass (:func:`hankel_scan`): it closes each run of vanishing
 determinants by the gap formula and advances P_n by the block three-term
-recurrence, on integers over one denominator, reduced at every step.  The
-pass is resumable (:class:`HankelScanner`): a caller that builds a sequence
-term by term, as the inverse-problem construction does, feeds one scanner
-instead of rescanning its growing prefix.  One fraction-free (Bareiss)
+recurrence, on integers over one denominator, reduced at every step.  Most
+of each reduction is known in advance: P_n's coefficients and L(x^j P_n) are
+minors of s of order n and n + 1 (Sylvester's identity), so P_n's reduced
+denominator q_n divides lambda^{n+1}, lambda the lcm of the term
+denominators.  A step whose integers are over a k longer than lambda^{n+1}
+first divides them exactly by k / gcd(k, lambda^{n+1}), and the content gcd
+runs only against what is left.  The pass is resumable
+(:class:`HankelScanner`): a caller that builds a sequence term by term, as
+the inverse-problem construction does, feeds one scanner instead of
+rescanning its growing prefix.  One fraction-free (Bareiss)
 elimination kernel, on rows cleared to integers, serves everything else:
 determinants and single minors (:func:`hankel_minor`), rank, solves and
 maximal minors.  It is also the independent route the tests check the pass
@@ -423,34 +429,68 @@ class HankelScanner:
             # c_top / k = a_{gap+1} / q_cur with a_{gap+1} = D_n / D_{r-1}, and
             # c_b / k = beta = -a_{gap+1} u f_prev / D_{r-1}, all cleared by the
             # positive sign * q_cur^{gap+2} dn^{gap+2} fd, sign that of (q_cur dn)^gap.
-            sign = -1 if gap % 2 and (q_cur < 0) != (dn < 0) else 1
-            dd_g1 = dd_g * dd
-            c_top = sign * sigma * u_g1 * dd_g1 * dn * fd
-            c_b = -sign * sigma * u_g1 * u_int * dd_g1 * dd * fn if r else 0
-            k = sign * q_g1 * q_cur * dn_g * dn * dn * fd
-            c = [0] * (gap + 1) + [c_top]
-            for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
-                acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
-                c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
-                c[gap - t] = -acc
+            if gap:
+                sign = -1 if gap % 2 and (q_cur < 0) != (dn < 0) else 1
+                dd_g1 = dd_g * dd
+                c_top = sign * sigma * u_g1 * dd_g1 * dn * fd
+                c_b = -sign * sigma * u_g1 * u_int * dd_g1 * dd * fn if r else 0
+                k = sign * q_g1 * q_cur * dn_g * dn * dn * fd
+                c = [0] * (gap + 1) + [c_top]
+                for t in range(gap + 1):  # orthogonality to x^{r+t} fixes c[gap-t]; the pivot is u
+                    acc = c_b * m_prev[r + t] + sum(c[i] * m_cur[r + t + i] for i in range(gap - t + 1, gap + 2))
+                    c, c_b, k = [x * u_int for x in c], c_b * u_int, k * u_int
+                    c[gap - t] = -acc
+            else:
+                # The same coefficients with the pivot u divided out of all four (negated when
+                # u < 0): c_0 = -(c_b m_prev[r] + c_1 m_cur[r+1]) / u, and m_prev[0] = 0.
+                c_b = -u_int * u_int * dd * dd * fn if r else 0
+                c = [dd * (u_int * dd * fn * m_prev[r] - dn * fd * m_cur[r + 1]), u_int * dd * dn * fd]
+                k = q_cur * q_cur * dn * dn * fd
+                if u_int < 0:
+                    c, c_b, k = [-x for x in c], -c_b, -k
             h = math.gcd(k, c_b, *c)
             c, c_b, k = [x // h for x in c], c_b // h, k // h
             self.steps.append(self._step(r, r_next, c, c_b, k))
 
+            # The combination over k gives P_{r_next} and L(x^j P_{r_next}): minors of order
+            # r_next and r_next + 1 of s, whose denominators divide lambda^{r_next + 1}.  So does
+            # the reduced denominator k / g, and e = k / gcd(k, lambda^{r_next + 1}) divides g.
+            # e >= k / lambda^{r_next + 1}, so it is sure to exceed 1 only when k is longer.
+            e = 1
+            if abs(k).bit_length() > (r_next + 1) * self._scale.bit_length():
+                common = math.gcd(k, self._scale)  # gcd(k, common^(r_next+1)) = gcd(k, lambda^(r_next+1))
+                e = abs(k) // math.gcd(k, common ** (r_next + 1))
+            k //= e
+            # The combination, divided by e, updates m at lo..hi and, with polys, P.
             lo, hi = r_next, m_top - r_next
-            acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
-            for i, ci in enumerate(c):
-                if ci:
-                    acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
-            acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
-            for i, ci in enumerate(c):
-                if ci:
-                    for e, x in enumerate(p_cur):
-                        acc_p[i + e] += ci * x
+            if gap:
+                acc_m = [c_b * x for x in m_prev[lo : hi + 1]]
+                for i, ci in enumerate(c):
+                    if ci:
+                        acc_m = [x + ci * y for x, y in zip(acc_m, m_cur[lo + i : hi + i + 1])]
+                acc_p = [c_b * x for x in p_prev] + [0] * (r_next + 1 - len(p_prev)) if polys else []
+                for i, ci in enumerate(c):
+                    if ci:
+                        for t, x in enumerate(p_cur):
+                            acc_p[i + t] += ci * x
+                if e > 1:
+                    acc_m, acc_p = [x // e for x in acc_m], [x // e for x in acc_p]
+            else:
+                c0, c1 = c
+                acc_m = [
+                    (c_b * a + c0 * b + c1 * x) // e
+                    for a, b, x in zip(m_prev[lo : hi + 1], m_cur[lo : hi + 1], m_cur[lo + 1 : hi + 2])
+                ]
+                acc_p = [
+                    (c_b * a + c0 * b + c1 * x) // e
+                    for a, b, x in zip(p_prev + [0] * (r_next + 1 - len(p_prev)), p_cur + [0], [0] + p_cur)
+                ] if polys else []
             g = math.gcd(k, *acc_m, *acc_p)  # what the integers share with the denominator
+            if g > 1:
+                acc_m, acc_p, k = [x // g for x in acc_m], [x // g for x in acc_p], k // g
             p_prev, m_prev, f_prev = p_cur, m_cur, f_gamma
             self._prev_mu = 1
-            p_cur, m_cur, q_cur = [x // g for x in acc_p], [0] * lo + [x // g for x in acc_m], k // g
+            p_cur, m_cur, q_cur = acc_p, [0] * lo + acc_m, k
             r, j, d_prev = r_next, r_next, d_new
         self._r, self._j, self._d_prev = r, j, d_prev
         self._p_cur, self._m_cur, self._q_cur = p_cur, m_cur, q_cur
@@ -479,16 +519,24 @@ def hankel_scan(s: SequenceLike, polys: bool = False) -> HankelScan:
     denominators.  A step combines them with integer coefficients over k, then
     divides k and the vectors by their gcd, so the integers stay as long as the
     values; as determinants of lambda*s they would carry lambda^k, out of all
-    proportion when late terms have long denominators.
+    proportion when late terms have long denominators.  Most of that gcd is
+    known before it is taken: the new values are minors of s of order n and
+    n + 1 (n the new index; Bareiss 1968, Sylvester's identity), so their
+    reduced denominator q_n divides lambda^{n+1}, and e = k / gcd(k,
+    lambda^{n+1}) divides the gcd.  When k is longer than lambda^{n+1}, and e
+    is sure to exceed 1, the step divides by e first, exactly, and takes the
+    content gcd only against gcd(k, lambda^{n+1}), a short number when lambda
+    is; the result is the same reduced vector.
 
     A step runs on integers only, fraction-free in the manner of Bareiss:
     u is the integer m_r[r+d] over q_r, and D_{r-1} and the factor of
     P_{r'} enter by their numerators and denominators.  The coefficients
     (c, c_b) over k are first a positive multiple of (a_{d+1}/q_r, beta, 1),
     which the triangular solve and the gcd reduce to the same :class:`ScanStep`
-    as reduced rationals would.  Only the values the scan returns are
-    rationals: each D_n, D'_{n+1} and factor of P_n is one reduced Fraction of
-    an integer numerator and denominator.
+    as reduced rationals would.  A generic step (d = 0) solves its one row in
+    closed form, without the factor u that the solve would bring.  Only the
+    values the scan returns are rationals: each D_n, D'_{n+1} and factor of
+    P_n is one reduced Fraction of an integer numerator and denominator.
 
     This is one :meth:`HankelScanner.extend` with every term.  A scanner
     given its terms in pieces stops where the prefix ends (inside a zero run,

@@ -28,6 +28,7 @@ from .core import (
     MomentSequence,
     SequenceLike,
     _moment,
+    _require_index,
     _scan_through,
     as_moments,
     scale_to_integers,
@@ -245,10 +246,12 @@ def second_kind(s: SequenceLike, p: Polynomial) -> Polynomial:
     """The second-kind companion L_t[(p(x) - p(t)) / (x - t)] of p.
 
     Its coefficients are L of p shifted down: q_m = L(sum_k p_{k+m+1} x^k)
-    = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.
+    = sum_k p_{k+m+1} s_k.  For p = P_n this is Q_n.  It reads s_0..s_{deg p - 1},
+    and raises IndexOutOfRange naming s_{deg p - 1} when the prefix is shorter.
     """
     seq = as_moments(s)
     n = len(p.coeffs) - 1
+    _require_index(seq, n - 1)
     # Integer sums over the two denominator lcms, then one division per q_m.
     p_int, p_scale = scale_to_integers(p.coeffs[1:])
     s_int, s_scale = scale_to_integers([seq[k] for k in range(n)])

@@ -13,7 +13,9 @@ steps, must match monic division of Bareiss P_n (`oracle_degree_profile`).
 Every field of the scan, each block step's integer coefficients with their
 sign and content among them, must equal the pass that derived those
 coefficients through reduced Fractions (`oracle_hankel_scan`), in one scan
-and in chunks.
+and in chunks, and on prefixes whose generic steps have negative pivots.
+The lemma behind each step's exact divisor, q_n | lambda^{n+1}, is checked
+on the scan's own denominators.
 """
 
 import math
@@ -109,14 +111,20 @@ def planted_gap(draw):
     return [F(1)] + [F(0)] * zeros + [closing] + draw(st.lists(small, max_size=8))
 
 
+# s_0 < 0 and alternating signs: the step from r = 0 and many generic steps have a negative pivot u.
+negative_pivots = st.lists(
+    st.fractions(min_value=1, max_value=9, max_denominator=6), min_size=2, max_size=18
+).map(lambda xs: [x if k % 2 else -x for k, x in enumerate(xs)])
+
+
 @st.composite
-def chunked(draw):
+def chunked(draw, prefixes=st.one_of(
+    generic, signs, rare_ones, zero_start, finite_rank(), mid_gap(), planted_gap(), long_late_denominators()
+)):
     """A prefix from any strategy above, cut into one to five chunks; some later
     entries get new denominators 2^a 3^b, so a resumed scan has to multiply its
     integers up, and cuts fall inside zero runs wherever the prefix has them."""
-    s = draw(st.one_of(
-        generic, signs, rare_ones, zero_start, finite_rank(), mid_gap(), planted_gap(), long_late_denominators()
-    ))
+    s = draw(prefixes)
     if s and draw(st.booleans()):
         for at in draw(st.lists(st.integers(len(s) // 2, len(s) - 1), max_size=3)):
             if s[at]:
@@ -163,6 +171,17 @@ def assert_steps_hold(scan, context):
         target = p[r_next]
         assert len(target) == r_next + 1 and combo[-1], (context, k)
         assert [x * target[-1] for x in combo] == [x * combo[-1] for x in target], (context, k)
+
+
+def assert_denominators_divide_scale_powers(scan, s, context):
+    """At every full-degree n the denominator q_n of P_n = p_int[n] / q_n divides
+    lambda^{n+1}, lambda the lcm of the term denominators: P_n's coefficients and
+    L(x^j P_n) are minors of s of order n and n + 1 (Sylvester's identity)."""
+    lam = math.lcm(1, *(x.denominator for x in s))
+    full = [n for n, p in enumerate(scan.p_int) if len(p) == n + 1]
+    assert full[0] == 0, context
+    for n in full:
+        assert lam ** (n + 1) % scan.p_factor[n].denominator == 0, (context, n)
 
 
 def check_against_elimination(s):
@@ -277,6 +296,52 @@ class TestScanMatchesElimination:
     def test_polynomials_need_polys(self):
         with pytest.raises(ValueError):
             hankel_scan([1, 2, 3]).p_coeffs(1)
+
+
+class TestGenericSteps:
+    """Steps without a zero run build their coefficients with the pivot u
+    divided out, negated when u < 0; they must give the Fraction-step pass's
+    scan, its steps' signs and contents included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(negative_pivots)
+    @example([F(v) for v in (-1, 2, -3, 4, -5, 6, -7, 8, -9, 1, -2, 3)])
+    def test_negative_pivots_give_the_fraction_step_scan(self, s):
+        for polys in (False, True):
+            assert_same_scan(hankel_scan(s, polys), oracle_hankel_scan(s, polys), (s, polys))
+        scan = hankel_scan(s)
+        assert scan.d_values[0] < 0 and scan.steps[0][:2] == (0, 1), s  # u = s_0 < 0 at r = 0
+
+    def test_every_other_pivot_negative(self):
+        # Minus the moments (-1)^k / (k+1) of the uniform measure on [-1, 0]: D_n has the
+        # sign (-1)^{n+1}, so every step is generic and u = D_r < 0 at every even r.
+        s = [F((-1) ** (k + 1), k + 1) for k in range(16)]
+        scan = hankel_scan(s, polys=True)
+        assert [(step.r, step.r_next) for step in scan.steps] == [(r, r + 1) for r in range(8)]
+        assert [d < 0 for d in scan.d_values] == [n % 2 == 0 for n in range(8)]
+        check_against_elimination(s)
+
+
+class TestExactDivisor:
+    """A step may divide its integers by k / gcd(k, lambda^{n+1}) before the
+    content gcd, exactly, because q_n divides lambda^{n+1}: the lemma, checked
+    on the scan's own P_n denominators, one-shot and in chunks."""
+
+    prefixes = st.one_of(generic, rare_ones, mid_gap(), planted_gap(), long_late_denominators())
+
+    @settings(max_examples=200, deadline=None)
+    @given(prefixes)
+    def test_one_shot(self, s):
+        assert_denominators_divide_scale_powers(hankel_scan(s, polys=True), s, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunked(prefixes))
+    def test_in_chunks(self, case):
+        s, cuts = case
+        scanner = HankelScanner(polys=True)
+        for lo, hi in zip([0] + cuts, cuts + [len(s)]):
+            scanner.extend(s[lo:hi])
+            assert_denominators_divide_scale_powers(scanner.result(), s[:hi], (s, cuts, hi))
 
 
 class TestResumedScan:

@@ -1,9 +1,9 @@
 """Input guards and edge values that the rest of the suite never reaches.
 
 Each row names one call, the error kind it must raise and its message, or
-the value it must return.  The rows pin the guards of `apply_L` and the
-empty-matrix values of `bottom_row_minors`, `fraction_free_det` and the
-determinant readers.
+the value it must return.  The rows pin the guards of `apply_L` and
+`second_kind` and the empty-matrix values of `bottom_row_minors`,
+`fraction_free_det` and the determinant readers.
 """
 
 from fractions import Fraction as F
@@ -21,6 +21,7 @@ from hankelkit import (
     kronecker_residual,
     rational_form,
     recurrence_coeffs,
+    second_kind,
     shifted_det,
     shifted_recurrence_coeffs,
     solve_prescribed,
@@ -70,6 +71,12 @@ RAISES = [
         IndexOutOfRange,
         "needs moment index 2 but only indices 0..1 are known",
     ),
+    (
+        "second_kind past the horizon",
+        lambda: second_kind([1], Polynomial([0, 0, 0, 1])),
+        IndexOutOfRange,
+        "needs moment index 2 but only indices 0..0 are known",
+    ),
     ("Interval out of order", lambda: Interval(1, 0), ValueError, "interval endpoints out of order"),
     ("FreePolicy unknown", lambda: FreePolicy("bogus").stream(), ParseError, "unknown free-entry policy 'bogus'"),
     ("int_kth_root n<0", lambda: int_kth_root(-1, 2), ValueError, "int_kth_root needs n >= 0 and k >= 1"),
@@ -98,6 +105,16 @@ def test_apply_L_past_the_horizon_names_index_and_horizon():
     with pytest.raises(IndexOutOfRange) as info:
         apply_L([1, 2], Polynomial([0, 0, 1]))
     assert (info.value.needed, info.value.horizon) == (2, 2)
+
+
+def test_second_kind_past_the_horizon_names_index_and_horizon():
+    # Q of a degree-3 p reads s_0..s_2; the zero polynomial and constants read nothing.
+    with pytest.raises(IndexOutOfRange) as info:
+        second_kind([1], Polynomial([0, 0, 0, 1]))
+    assert (info.value.needed, info.value.horizon) == (2, 1)
+    assert second_kind([1, 2, 3], Polynomial([0, 0, 0, 1])) == Polynomial([3, 2, 1])
+    assert second_kind([], Polynomial([5])).is_zero()
+    assert second_kind([], Polynomial([])).is_zero()
 
 
 VALUES = [
