@@ -9,6 +9,11 @@ agreements is equivalent to a run of vanishing determinants, and the first
 disagreement value gives D_{r+d} in closed form (the gap formula) without any
 large determinant.
 
+Every rank-r recurrence in the package is read off P_r by
+:func:`_recurrence_from_p` and run by :func:`_extension_values`.  As
+d_k = -p_{r,k}/D_{r-1} is a ratio of P_r's own coefficients (D_{r-1} leads),
+any multiple of P_r gives it: the scan's integers p_int[r] serve as they are.
+
 The degree profile organizes the determinant polynomials P_n of an arbitrary
 nonzero sequence: full-degree indices n_0 < n_1 < ..., identically-zero
 blocks between them, the constant proportionality P_{n_{k+1}-1} = gamma_k
@@ -73,15 +78,17 @@ def recurrence_coeffs(s: SequenceLike, r: int) -> ApproxRecurrence:
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    return _recurrence_from_p(_scan_through(as_moments(s), 2 * r - 1, polys=True).p_coeffs(r), r)
+    return _recurrence_from_p(_scan_through(as_moments(s), 2 * r - 1, polys=True).p_int[r], r)
 
 
-def _recurrence_from_p(p: Sequence[Fraction], r: int) -> ApproxRecurrence:
-    """d_k = -p_{r,k}/D_{r-1} off P_r's coefficients p, lowest first; D_{r-1} leads."""
+def _recurrence_from_p(p: Sequence, r: int) -> ApproxRecurrence:
+    """d_k = -p_k/p_r off the coefficients p, lowest first, of any multiple
+    c P_r, c != 0 (the scan's integers p_int[r], or a Polynomial's Fractions):
+    -c p_{r,k}/(c D_{r-1}) = -p_{r,k}/D_{r-1}, so c cancels.  A zero or short p
+    (D_{r-1} = 0) raises SingularLeadingMinor(r)."""
     if len(p) <= r or p[r] == 0:
         raise SingularLeadingMinor(r)
-    lead = p[r]
-    return ApproxRecurrence(r, tuple([-p[k] / lead for k in range(r)]))
+    return ApproxRecurrence(r, tuple([Fraction(-p[k], p[r]) for k in range(r)]))
 
 
 def _extension_values(seq: Sequence, rec: ApproxRecurrence, upto: int) -> list:
@@ -120,12 +127,8 @@ def shifted_recurrence_coeffs(
     seq = as_moments(s)
     r = ar.r
     _require_index(seq, 2 * r - 1)
-    for m in range(r):
-        acc = Fraction(0)
-        for k in range(r):
-            acc += ar.d[k] * seq[k + m]
-        if acc != seq[r + m]:
-            raise ValueError("recurrence does not generate this sequence prefix")
+    if _extension_values(seq.terms[:r], ar, 2 * r - 1) != list(seq.terms[: 2 * r]):
+        raise ValueError("recurrence does not generate this sequence prefix")
     # v tracks the first row of successive companion-matrix powers.
     v = [Fraction(1)] + [Fraction(0)] * (r - 1)
     for _ in range(n + 1):
@@ -166,7 +169,7 @@ def gap_determinant(s: SequenceLike, r: int, d: int) -> Fraction:
     if r < 1:
         raise ValueError("r must be >= 1")
     scan = _scan_through(seq, 2 * r - 1, polys=True)  # P_r and D_{r-1}
-    rec = _recurrence_from_p(scan.p_coeffs(r), r)
+    rec = _recurrence_from_p(scan.p_int[r], r)
     lead = scan.d_values[r - 1]
     sigma = _extension_values(seq, rec, 2 * r + d)
     for j in range(d):
@@ -187,7 +190,7 @@ def shifted_gap_det(s: SequenceLike, r: int) -> Fraction:
     if r < 1:
         raise ValueError("r must be >= 1")
     scan = _scan_through(seq, 2 * r - 1, polys=True)  # P_r, D_{r-1} and D'_r
-    rec = _recurrence_from_p(scan.p_coeffs(r), r)
+    rec = _recurrence_from_p(scan.p_int[r], r)
     sigma = _extension_values(seq, rec, 2 * r + 1)
     return (seq[2 * r + 1] - sigma[2 * r + 1]) * scan.d_values[r - 1] - (
         seq[2 * r] - sigma[2 * r]

@@ -251,13 +251,6 @@ class ScanStep(NamedTuple):
     c_b: int
 
 
-def _p_coeffs(p_int, p_factor, n: int) -> tuple[Fraction, ...]:
-    if p_int is None:
-        raise ValueError("scan was run without polynomials")
-    factor = p_factor[n]
-    return tuple([Fraction(c * factor.numerator, factor.denominator) for c in p_int[n]])
-
-
 @dataclass(frozen=True)
 class HankelScan:
     """Every D_n (2n <= M), D'_{n+1} (2n+1 <= M) and optionally P_n (2n-1 <= M).
@@ -275,7 +268,10 @@ class HankelScan:
 
     def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
         """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
-        return _p_coeffs(self.p_int, self.p_factor, n)
+        if self.p_int is None:
+            raise ValueError("scan was run without polynomials")
+        factor = self.p_factor[n]
+        return tuple([Fraction(c * factor.numerator, factor.denominator) for c in self.p_int[n]])
 
 
 class HankelScanner:
@@ -310,10 +306,6 @@ class HankelScanner:
         self._m_prev: list[int] = []
         self._f_prev = Fraction(1)
         self._prev_mu = 1  # what _moments has multiplied p_prev by since p_int[r'] stored it
-
-    def p_coeffs(self, n: int) -> tuple[Fraction, ...]:
-        """Coefficients of P_n, lowest degree first (empty for the zero polynomial)."""
-        return _p_coeffs(self.p_int, self.p_factor, n)
 
     def result(self) -> HankelScan:
         """The scan of the terms so far, as :func:`hankel_scan` returns it."""

@@ -318,7 +318,7 @@ def _construct(
 
         def recurrence(values: list, r: int) -> ApproxRecurrence:
             scanner.extend(values[len(scanner.terms) :])
-            return _recurrence_from_p(scanner.p_coeffs(r), r)
+            return _recurrence_from_p(scanner.p_int[r], r)
 
     else:
         zero = mp.mpf(0)

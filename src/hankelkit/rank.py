@@ -94,7 +94,7 @@ def hankel_rank(s: SequenceLike) -> RankCertificate:
     r_star = 1 + max((n for n, value in enumerate(scan.d_values) if value != 0), default=-1)
     if not _finite_rank(seq, scan, r_star):
         return RankCertificate("RankAtLeast", r_star, seq.horizon, None, profile)
-    witness = _recurrence_from_p(scan.p_coeffs(r_star), r_star)
+    witness = _recurrence_from_p(scan.p_int[r_star], r_star)
     return RankCertificate("FiniteRank", r_star, seq.horizon, witness, profile)
 
 
@@ -136,15 +136,14 @@ def expand_rational(rf: RationalForm, m_out: int) -> MomentSequence:
         )
     if rho == 0:
         return MomentSequence((Fraction(0),) * (m_out + 1))
-    pi = rf.p.padded(rho + 1)
+    pi = rf.p.coeffs
     terms: list[Fraction] = []
     for m in range(min(rho, m_out + 1)):
         acc = rf.q[rho - 1 - m]
         for k in range(m):
             acc -= pi[rho - (m - k)] * terms[k]
         terms.append(acc / pi[rho])
-    rec = ApproxRecurrence(rho, tuple([-pi[k] / pi[rho] for k in range(rho)]))
-    return MomentSequence(tuple(_extension_values(terms, rec, m_out)))
+    return MomentSequence(tuple(_extension_values(terms, _recurrence_from_p(pi, rho), m_out)))
 
 
 def growth_estimate(s: SequenceLike, precision_bits: int) -> RealScalar:
@@ -202,7 +201,7 @@ def finite_rank_checks(s: SequenceLike, r: int) -> dict[str, bool]:
     approximant_match = rational_expansion_match = r == 0 and seq.is_zero()
     if r and lead_ok:
         p = Polynomial(scan.p_coeffs(r))
-        approximant_match = _extension_values(seq, _recurrence_from_p(p.coeffs, r), m) == list(seq.terms)
+        approximant_match = _extension_values(seq, _recurrence_from_p(scan.p_int[r], r), m) == list(seq.terms)
         rational_expansion_match = expand_rational(RationalForm(p, second_kind(seq, p)), m) == seq
 
     return {

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelkit import (
     ApproxRecurrence,
@@ -27,8 +29,11 @@ from hankelkit import (
 )
 
 from hankelkit import approximants
+from hankelkit.approximants import _recurrence_from_p
+from hankelkit.core import HankelScanner, hankel_scan
 
 from oracles import random_fraction, random_sequence
+from test_engine import chunked, generic, long_late_denominators, mid_gap, planted_gap
 
 
 def random_recurrent(rng, r, length):
@@ -80,6 +85,36 @@ class TestRecurrenceCoeffs:
 
     def test_json(self):
         assert recurrence_coeffs([2, 1, 1, 1], 1).to_json() == {"r": 1, "d": ["1/2"]}
+
+
+def assert_factor_cancels(scan, context):
+    """At every r of the scan, P_r's integers p_int[r] and its Fractions
+    p_coeffs(r) give one recurrence, or both raise SingularLeadingMinor(r)."""
+    for r, p in enumerate(scan.p_int):
+        forms = (p, scan.p_coeffs(r))
+        if len(p) == r + 1:
+            assert _recurrence_from_p(forms[0], r) == _recurrence_from_p(forms[1], r), (context, r)
+            continue
+        for form in forms:  # zero, or gamma P_{r'} of lower degree inside a gap
+            with pytest.raises(SingularLeadingMinor) as info:
+                _recurrence_from_p(form, r)
+            assert info.value.r == r, (context, r)
+
+
+class TestRecurrenceFromP:
+    """The factor p_factor[r] cancels from d_k = -p_{r,k}/D_{r-1}."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunked(st.one_of(generic, planted_gap(), mid_gap(), long_late_denominators())))
+    def test_integers_and_fractions_give_one_recurrence(self, case):
+        # A resumed scanner multiplies p_int[r] by mu when new denominators arrive,
+        # and divides p_factor[r] by it; inverse._construct reads P_r that way.
+        s, cuts = case
+        assert_factor_cancels(hankel_scan(s, polys=True), s)
+        scanner = HankelScanner(polys=True)
+        for lo, hi in zip([0] + cuts, cuts + [len(s)]):
+            scanner.extend(s[lo:hi])
+            assert_factor_cancels(scanner.result(), (s, cuts, hi))
 
 
 class TestApproxSequence:

@@ -2,16 +2,20 @@
 
 Each row names one call, the error kind it must raise and its message, or
 the value it must return.  The rows pin the guards of `apply_L` and
-`second_kind` and the empty-matrix values of `bottom_row_minors`,
-`fraction_free_det` and the determinant readers.
+`second_kind`, the empty-matrix values of `bottom_row_minors`,
+`fraction_free_det` and the determinant readers, the constant, printing
+and hashing edges of `Polynomial`, `scalars` and `cauchy_bound`, and the
+refusal of a non-positive weight on the exact `measure` path.
 """
 
 from fractions import Fraction as F
 
 import pytest
+from mpmath import mp
 
 from hankelkit import (
     IndexOutOfRange,
+    NonPositiveWeight,
     ParseError,
     apply_L,
     cd_identity_residual,
@@ -19,18 +23,21 @@ from hankelkit import (
     hankel_det,
     jacobi_from_moments,
     kronecker_residual,
+    moments_of_atoms,
     rational_form,
+    recover_measure,
     recurrence_coeffs,
     second_kind,
     shifted_det,
     shifted_recurrence_coeffs,
     solve_prescribed,
 )
-from hankelkit.core import bottom_row_minors, fraction_free_det
+from hankelkit import measures
+from hankelkit.core import MomentSequence, bottom_row_minors, fraction_free_det
 from hankelkit.inverse import FreePolicy
-from hankelkit.measures import Interval
-from hankelkit.polynomials import JacobiCoeffs, Polynomial
-from hankelkit.scalars import RealScalar, exact_kth_root, int_kth_root, parse_rational, real_kth_root
+from hankelkit.measures import Interval, cauchy_bound
+from hankelkit.polynomials import ZERO, JacobiCoeffs, Polynomial
+from hankelkit.scalars import RealScalar, exact_kth_root, int_kth_root, parse_rational, real_kth_root, to_mpf
 
 S = [2, 1, 1, 1, 1, 1, 1, 1]
 
@@ -122,9 +129,29 @@ VALUES = [
     ("shifted_det n=-1", lambda: shifted_det(S, -1), F(1)),
     ("fraction_free_det empty", lambda: fraction_free_det([]), F(1)),
     ("bottom_row_minors empty", lambda: bottom_row_minors([]), [F(1)]),
+    ("cauchy_bound constant", lambda: cauchy_bound(Polynomial([5])), 1),
+    ("exact_kth_root irrational", lambda: exact_kth_root(F(1, 2), 2), None),
+    ("to_mpf integer", lambda: to_mpf(5, 64), 5),
+    ("RealScalar str", lambda: str(RealScalar(mp.mpf(1), 64)), "1.0"),
+    ("Polynomial repr zero", lambda: repr(ZERO), "Polynomial(0)"),
+    ("Polynomial str", lambda: str(Polynomial([1, 1])), "x + 1"),
+    ("Polynomial hash", lambda: hash(Polynomial([1, F(1, 2)])) == hash(Polynomial([F(1), F(1, 2)])), True),
+    ("Polynomial gcd of zeros", lambda: ZERO.gcd(ZERO).is_zero(), True),
+    ("MomentSequence iteration", lambda: list(MomentSequence((F(1), F(2)))), [F(1), F(2)]),
 ]
 
 
 @pytest.mark.parametrize("call, value", [row[1:] for row in VALUES], ids=[row[0] for row in VALUES])
 def test_edge_value(call, value):
     assert call() == value
+
+
+def test_exact_measure_refuses_a_non_positive_weight(monkeypatch):
+    # The PSD-flat check comes first, and a PSD-flat sequence has positive
+    # weights, so the weights are negated where they are computed.
+    exact_weights = measures._exact_weights
+    monkeypatch.setattr(measures, "_exact_weights", lambda *args: [-w for w in exact_weights(*args)])
+    with pytest.raises(NonPositiveWeight) as info:
+        recover_measure(moments_of_atoms([(0, 1), (1, 2)], 5), 64)
+    assert info.value.kind == "non_positive_weight"
+    assert str(info.value) == "weight at atom 0 is -1.0, expected > 0"
