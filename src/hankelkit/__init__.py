@@ -16,182 +16,116 @@ covers:
   a verified constructive solver (:mod:`.inverse`);
 - discrete-measure recovery from positive-definite flat prefixes with
   certified moment verification (:mod:`.measures`).
+
+The namespace is lazy (PEP 562): ``import hankelkit`` loads no submodule.
+The first access to a public name imports the module that defines it and
+keeps the name here, so a caller of the exact layers never loads the
+big-float ones or ``mpmath``.  ``hankelkit.core`` and the other modules that
+define public names are reachable as attributes too.
 """
 
-from .core import (
-    DeterminantProfile,
-    HankelScan,
-    HankelScanner,
-    MomentSequence,
-    as_moments,
-    binomial_transform,
-    determinant_transform,
-    hankel_det,
-    hankel_matrix,
-    hankel_minor,
-    hankel_scan,
-    matrix_rank,
-    shifted_det,
-)
-from .errors import (
-    DegreeViolation,
-    GapHypothesisViolated,
-    HankelError,
-    IndexOutOfRange,
-    NonConstantResidual,
-    NonPositiveWeight,
-    NotPSDFlat,
-    NotQuasiDefinite,
-    NotSolvable,
-    ParseError,
-    PrecisionExhausted,
-    RootCountMismatch,
-    SingularLeadingMinor,
-    WeightMismatch,
-    ZeroB,
-    ZeroSequence,
-    ZeroTarget,
-)
-from .polynomials import (
-    JacobiCoeffs,
-    Polynomial,
-    apply_L,
-    frobenius_recurrence_residual,
-    jacobi_from_moments,
-    kronecker_residual,
-    moments_from_jacobi,
-    p_family,
-    poly_P,
-    poly_Q,
-    second_kind,
-    solve_prescribed,
-)
-from .approximants import (
-    ApproxRecurrence,
-    BlockStep,
-    ExceedsHorizon,
-    StructureReport,
-    approx_sequence,
-    characteristic,
-    degree_profile,
-    gap_determinant,
-    recurrence_coeffs,
-    shifted_gap_det,
-    shifted_recurrence_coeffs,
-)
-from .rank import (
-    RankCertificate,
-    RationalForm,
-    expand_rational,
-    finite_rank_checks,
-    growth_estimate,
-    hankel_rank,
-    rational_form,
-)
-from .inverse import (
-    ZEROS,
-    FreePolicy,
-    InverseSolution,
-    SolvabilityReport,
-    TargetSequence,
-    frobenius_check,
-    solve_inverse,
-)
-from .measures import (
-    Atom,
-    DiscreteMeasure,
-    Interval,
-    cauchy_bound,
-    cd_identity_residual,
-    isolate_real_roots,
-    moments_of_atoms,
-    psd_finite_rank_check,
-    recover_measure,
-    verify_moments,
-)
-from .scalars import RealScalar, exact_kth_root, parse_rational
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxRecurrence",
-    "Atom",
-    "BlockStep",
-    "DegreeViolation",
-    "DeterminantProfile",
-    "DiscreteMeasure",
-    "ExceedsHorizon",
-    "FreePolicy",
-    "GapHypothesisViolated",
-    "HankelError",
-    "HankelScan",
-    "HankelScanner",
-    "IndexOutOfRange",
-    "Interval",
-    "InverseSolution",
-    "JacobiCoeffs",
-    "MomentSequence",
-    "NonConstantResidual",
-    "NonPositiveWeight",
-    "NotPSDFlat",
-    "NotQuasiDefinite",
-    "NotSolvable",
-    "ParseError",
-    "Polynomial",
-    "PrecisionExhausted",
-    "RankCertificate",
-    "RationalForm",
-    "RealScalar",
-    "RootCountMismatch",
-    "SingularLeadingMinor",
-    "SolvabilityReport",
-    "StructureReport",
-    "TargetSequence",
-    "WeightMismatch",
-    "ZeroB",
-    "ZEROS",
-    "ZeroSequence",
-    "ZeroTarget",
-    "apply_L",
-    "approx_sequence",
-    "as_moments",
-    "binomial_transform",
-    "cauchy_bound",
-    "cd_identity_residual",
-    "characteristic",
-    "degree_profile",
-    "determinant_transform",
-    "exact_kth_root",
-    "expand_rational",
-    "finite_rank_checks",
-    "frobenius_check",
-    "frobenius_recurrence_residual",
-    "gap_determinant",
-    "growth_estimate",
-    "hankel_det",
-    "hankel_matrix",
-    "hankel_minor",
-    "hankel_scan",
-    "hankel_rank",
-    "isolate_real_roots",
-    "jacobi_from_moments",
-    "kronecker_residual",
-    "matrix_rank",
-    "moments_from_jacobi",
-    "moments_of_atoms",
-    "p_family",
-    "parse_rational",
-    "poly_P",
-    "poly_Q",
-    "psd_finite_rank_check",
-    "rational_form",
-    "recover_measure",
-    "recurrence_coeffs",
-    "second_kind",
-    "shifted_det",
-    "shifted_gap_det",
-    "shifted_recurrence_coeffs",
-    "solve_inverse",
-    "solve_prescribed",
-    "verify_moments",
-]
+# The module that defines each public name, in __all__ order.
+_MODULES = {
+    "ApproxRecurrence":              "approximants",
+    "Atom":                          "measures",
+    "BlockStep":                     "approximants",
+    "DegreeViolation":               "errors",
+    "DeterminantProfile":            "core",
+    "DiscreteMeasure":               "measures",
+    "ExceedsHorizon":                "approximants",
+    "FreePolicy":                    "inverse",
+    "GapHypothesisViolated":         "errors",
+    "HankelError":                   "errors",
+    "HankelScan":                    "core",
+    "HankelScanner":                 "core",
+    "IndexOutOfRange":               "errors",
+    "Interval":                      "measures",
+    "InverseSolution":               "inverse",
+    "JacobiCoeffs":                  "polynomials",
+    "MomentSequence":                "core",
+    "NonConstantResidual":           "errors",
+    "NonPositiveWeight":             "errors",
+    "NotPSDFlat":                    "errors",
+    "NotQuasiDefinite":              "errors",
+    "NotSolvable":                   "errors",
+    "ParseError":                    "errors",
+    "Polynomial":                    "polynomials",
+    "PrecisionExhausted":            "errors",
+    "RankCertificate":               "rank",
+    "RationalForm":                  "rank",
+    "RealScalar":                    "scalars",
+    "RootCountMismatch":             "errors",
+    "SingularLeadingMinor":          "errors",
+    "SolvabilityReport":             "inverse",
+    "StructureReport":               "approximants",
+    "TargetSequence":                "inverse",
+    "WeightMismatch":                "errors",
+    "ZeroB":                         "errors",
+    "ZEROS":                         "inverse",
+    "ZeroSequence":                  "errors",
+    "ZeroTarget":                    "errors",
+    "apply_L":                       "polynomials",
+    "approx_sequence":               "approximants",
+    "as_moments":                    "core",
+    "binomial_transform":            "core",
+    "cauchy_bound":                  "measures",
+    "cd_identity_residual":          "measures",
+    "characteristic":                "approximants",
+    "degree_profile":                "approximants",
+    "determinant_transform":         "core",
+    "exact_kth_root":                "scalars",
+    "expand_rational":               "rank",
+    "finite_rank_checks":            "rank",
+    "frobenius_check":               "inverse",
+    "frobenius_recurrence_residual": "polynomials",
+    "gap_determinant":               "approximants",
+    "growth_estimate":               "rank",
+    "hankel_det":                    "core",
+    "hankel_matrix":                 "core",
+    "hankel_minor":                  "core",
+    "hankel_scan":                   "core",
+    "hankel_rank":                   "rank",
+    "isolate_real_roots":            "measures",
+    "jacobi_from_moments":           "polynomials",
+    "kronecker_residual":            "polynomials",
+    "matrix_rank":                   "core",
+    "moments_from_jacobi":           "polynomials",
+    "moments_of_atoms":              "measures",
+    "p_family":                      "polynomials",
+    "parse_rational":                "scalars",
+    "poly_P":                        "polynomials",
+    "poly_Q":                        "polynomials",
+    "psd_finite_rank_check":         "measures",
+    "rational_form":                 "rank",
+    "recover_measure":               "measures",
+    "recurrence_coeffs":             "approximants",
+    "second_kind":                   "polynomials",
+    "shifted_det":                   "core",
+    "shifted_gap_det":               "approximants",
+    "shifted_recurrence_coeffs":     "approximants",
+    "solve_inverse":                 "inverse",
+    "solve_prescribed":              "polynomials",
+    "verify_moments":                "measures",
+}
+
+__all__ = list(_MODULES)
+
+
+def __getattr__(name: str):
+    module = _MODULES.get(name)
+    if module is not None:
+        value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+        return value
+    if name in _MODULES.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -23,6 +23,11 @@ error.
 main builds its parser on first use and keeps it for the life of the process:
 building it costs about a third of a short document's whole run, and argparse
 does not change a parser by parsing with it.
+
+At load time this module imports only the exact core, so a call pays for
+the modules its command computes with and no more: each command imports its
+own layer when it runs, and only solve and measure load mpmath (their --tol
+check reads it too).
 """
 
 from __future__ import annotations
@@ -32,22 +37,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from mpmath import mp
-
-from .approximants import approx_sequence, degree_profile
 from .core import MomentSequence, determinant_transform
 from .errors import HankelError, NotSolvable, ParseError, PrecisionExhausted
-from .inverse import (
-    DEFAULT_TOLERANCE,
-    FreePolicy,
-    TargetSequence,
-    frobenius_check,
-    solve_inverse,
-)
-from .measures import recover_measure, verify_moments
-from .polynomials import JacobiCoeffs, jacobi_from_moments, moments_from_jacobi, p_family, second_kind
-from .rank import hankel_rank
-from .scalars import MAX_RATIONAL_DIGITS, MIN_PRECISION_BITS
+from .scalars import DEFAULT_TOLERANCE, MAX_RATIONAL_DIGITS, MIN_PRECISION_BITS
 
 MEASURE_TOLERANCE = "1e-20"
 # Recovering a rank-12 measure takes seconds at 2^16 bits, and the cost grows
@@ -90,6 +82,8 @@ def _precision(text: str) -> int:
 
 def _tolerance(text: str) -> str:
     """Check a --tol value up front; the computation reads the string itself."""
+    from mpmath import mp
+
     try:
         value = mp.mpf(text)
     except ValueError:
@@ -182,6 +176,8 @@ def _dispatch(args) -> dict:
         return determinant_transform(_sequence(args.input)).to_json()
 
     if args.command == "poly":
+        from .polynomials import p_family, second_kind
+
         seq = _sequence(args.input)
         max_n = len(seq) // 2 if args.max_n is None else _capped(args.max_n, "--max-n")
         if max_n < 0:
@@ -193,6 +189,8 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "jacobi":
+        from .polynomials import JacobiCoeffs, jacobi_from_moments, moments_from_jacobi
+
         payload = _load_json(args.input)
         if args.invert:
             coeffs = JacobiCoeffs.from_json(payload)
@@ -204,6 +202,8 @@ def _dispatch(args) -> dict:
         return jacobi_from_moments(seq, n_terms).to_json()
 
     if args.command == "approx":
+        from .approximants import approx_sequence
+
         seq = _sequence(args.input)
         r = _capped(args.r, "--r")
         if r < 1:
@@ -214,12 +214,18 @@ def _dispatch(args) -> dict:
         return approx_sequence(seq, r, length - 1).to_json()
 
     if args.command == "rank":
+        from .rank import hankel_rank
+
         return hankel_rank(_sequence(args.input)).to_json()
 
     if args.command == "profile":
+        from .approximants import degree_profile
+
         return degree_profile(_sequence(args.input)).to_json()
 
     if args.command == "solve":
+        from .inverse import FreePolicy, TargetSequence, frobenius_check, solve_inverse
+
         payload = _load_json(args.input)
         targets = TargetSequence.from_json(payload)
         if not args.construct:
@@ -241,6 +247,10 @@ def _dispatch(args) -> dict:
         return result
 
     if args.command == "measure":
+        from mpmath import mp
+
+        from .measures import recover_measure, verify_moments
+
         seq = _sequence(args.input)
         measure = recover_measure(seq, precision_bits=args.precision_bits)
         residual = verify_moments(measure, seq, precision_bits=args.precision_bits)

@@ -51,6 +51,7 @@ from .core import HankelScanner, MomentSequence, _is_witness, _moment, scale_to_
 from .errors import NotSolvable, ParseError, PrecisionExhausted
 from .scalars import (
     DEFAULT_PRECISION_BITS,
+    DEFAULT_TOLERANCE,
     _QUOTE,
     exact_kth_root,
     format_mpf,
@@ -59,8 +60,6 @@ from .scalars import (
     real_kth_root,
     to_mpf,
 )
-
-DEFAULT_TOLERANCE = "1e-30"
 
 
 @dataclass(frozen=True)

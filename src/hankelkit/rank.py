@@ -37,8 +37,6 @@ from .errors import DegreeViolation, SingularLeadingMinor
 from .polynomials import Polynomial, poly_P, second_kind
 from .scalars import RealScalar, format_rational, real_scalar, to_mpf
 
-from mpmath import mp
-
 
 @dataclass(frozen=True)
 class RationalForm:
@@ -152,6 +150,8 @@ def growth_estimate(s: SequenceLike, precision_bits: int) -> RealScalar:
     A finite-sample proxy for the limsup growth rate; approximate by nature,
     but evaluated at the requested precision.
     """
+    from mpmath import mp
+
     seq = as_moments(s)
     if len(seq) < 8:
         raise ValueError("growth estimate needs at least 8 terms")

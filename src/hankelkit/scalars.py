@@ -3,7 +3,9 @@
 Exact scalars are ``fractions.Fraction`` throughout the package (canonical
 form and exact arithmetic come for free).  Irrational values forced by root
 extractions are carried as :class:`RealScalar`: an arbitrary-precision
-``mpmath`` float tagged with the precision it was computed at.
+``mpmath`` float tagged with the precision it was computed at.  ``mpmath`` is
+imported by the functions that compute or print such a value, not by this
+module, so the exact layers never load it.
 """
 
 from __future__ import annotations
@@ -12,18 +14,20 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Union
 
 from .errors import ParseError
 from .printing import format_rational  # noqa: F401 - formatting stays public here
+
+if TYPE_CHECKING:
+    import mpmath
 
 RationalLike = Union[Fraction, int, str]
 
 MIN_PRECISION_BITS = 64
 DEFAULT_PRECISION_BITS = 256
+# The default tolerance of solve_inverse's certificate and of ``solve --tol``.
+DEFAULT_TOLERANCE = "1e-30"
 
 # Python's default limit on int <-> str conversion, which already rejects
 # longer digit strings; exponent notation must not expand past it either.
@@ -129,6 +133,8 @@ def exact_kth_root(value: Fraction, k: int) -> Fraction | None:
 
 def to_mpf(value: Fraction | int, precision_bits: int) -> mpmath.mpf:
     """Convert an exact value to an mpf, rounding once at the stated precision."""
+    from mpmath import mp
+
     with mp.workprec(precision_bits):
         if isinstance(value, int):
             return +mp.mpf(value)
@@ -137,6 +143,8 @@ def to_mpf(value: Fraction | int, precision_bits: int) -> mpmath.mpf:
 
 def real_kth_root(value: mpmath.mpf, k: int, precision_bits: int) -> mpmath.mpf:
     """Real k-th root at the stated precision; odd k follows the sign of value."""
+    from mpmath import mp
+
     with mp.workprec(precision_bits):
         if value < 0:
             if k % 2 == 0:
@@ -147,7 +155,10 @@ def real_kth_root(value: mpmath.mpf, k: int, precision_bits: int) -> mpmath.mpf:
 
 def format_mpf(value: mpmath.mpf, precision_bits: int) -> str:
     """The decimal text a big-float value prints as: the digits precision_bits carries."""
-    return mp.nstr(value, mpmath.libmp.prec_to_dps(precision_bits))
+    from mpmath import mp
+    from mpmath.libmp import prec_to_dps
+
+    return mp.nstr(value, prec_to_dps(precision_bits))
 
 
 @dataclass(frozen=True)
