@@ -26,8 +26,8 @@ does not change a parser by parsing with it.
 
 At load time this module imports only the exact core, so a call pays for
 the modules its command computes with and no more: each command imports its
-own layer when it runs, and only solve and measure load mpmath (their --tol
-check reads it too).
+own layer when it runs.  measure loads mpmath; solve loads it only to build
+in big-float arithmetic or to check a --tol given on the command line.
 """
 
 from __future__ import annotations
@@ -81,7 +81,12 @@ def _precision(text: str) -> int:
 
 
 def _tolerance(text: str) -> str:
-    """Check a --tol value up front; the computation reads the string itself."""
+    """Check a --tol value up front; the computation reads the string itself.
+
+    argparse passes a string default through this check too: the two defaults
+    are known good and go through without loading mpmath."""
+    if text is DEFAULT_TOLERANCE or text is MEASURE_TOLERANCE:
+        return text
     from mpmath import mp
 
     try:

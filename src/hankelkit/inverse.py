@@ -43,9 +43,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from mpmath import mp
-from mpmath.libmp import from_rational, round_ceiling
-
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
 from .core import HankelScanner, MomentSequence, _is_witness, _moment, scale_to_integers
 from .errors import NotSolvable, ParseError, PrecisionExhausted
@@ -239,6 +236,8 @@ def _residual_text(value) -> str:
     """A residual to 10 digits.  It is rounded to 53 bits first: mp.nstr of a
     tiny value with a mantissa over about 14,000 bits converts an integer past
     Python's int-string limit and raises."""
+    from mpmath import mp
+
     return mp.nstr(mp.mpf(value, prec=53), 10)
 
 
@@ -320,6 +319,8 @@ def _construct(
             return _recurrence_from_p(scanner.p_int[r], r)
 
     else:
+        from mpmath import mp
+
         zero = mp.mpf(0)
 
         def draw():
@@ -441,6 +442,9 @@ def solve_inverse(
         terms, scanner = _construct(targets, free_policy, offsets, bits, tol)
         printed = terms
     else:
+        from mpmath import mp
+        from mpmath.libmp import from_rational, round_ceiling
+
         bits = precision_bits
         with mp.workprec(bits):
             offsets = [real_kth_root(to_mpf(c, bits) / to_mpf(t_a, bits), k, bits) for t_a, c, k in steps]

@@ -82,9 +82,6 @@ class Polynomial:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def padded(self, length: int) -> tuple[Fraction, ...]:
-        return tuple([self[k] for k in range(length)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -150,49 +147,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(k * self.coeffs[k] for k in range(1, len(self.coeffs)))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no monic form")
-        lead = self.leading
-        return Polynomial(c / lead for c in self.coeffs)
-
-    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact euclidean division over the rationals."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = divisor.leading
-        ddeg = divisor.degree
-        quot = [Fraction(0)] * max(len(rem) - ddeg, 0)
-        while len(rem) - 1 >= ddeg and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < ddeg:
-                break
-            shift = len(rem) - 1 - ddeg
-            factor = rem[-1] / dlead
-            quot[shift] = factor
-            for k in range(ddeg + 1):
-                rem[shift + k] -= factor * divisor.coeffs[k]
-        return Polynomial(quot), Polynomial(rem)
-
-    def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor (constant 1 for coprime inputs)."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a.monic()
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     # -- serialization ------------------------------------------------------
 

@@ -18,6 +18,10 @@ certificate replaced; cofactor expansion is too slow for its solutions.
 :func:`oracle_frobenius_check` is the sign test as it formed each Delta
 from the support by its own sign code, before ``frobenius_check`` read the
 conditions off the construction's root steps.
+
+The Fraction polynomial algebra the library never computes with (division,
+gcd, monic form, evaluation, padding) is here too, as plain functions on
+``Polynomial``.
 """
 
 from __future__ import annotations
@@ -192,13 +196,53 @@ def oracle_finite_rank_checks(s: Sequence[Fraction], r: int) -> dict[str, bool]:
     }
 
 
+def poly_padded(p: Polynomial, length: int) -> list[Fraction]:
+    """The coefficients p_0..p_{length-1}, zero past the degree."""
+    return [p[k] for k in range(length)]
+
+
+def poly_eval(p: Polynomial, x: Fraction) -> Fraction:
+    """p(x) by Horner in exact arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_monic(p: Polynomial) -> Polynomial:
+    if p.is_zero():
+        raise ValueError("zero polynomial has no monic form")
+    return Polynomial(c / p.leading for c in p.coeffs)
+
+
+def poly_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Euclidean division over the rationals: a = q b + r, r zero or of lower degree than b."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quot = [Fraction(0)] * max(len(rem) - b.degree, 0)
+    for shift in reversed(range(len(quot))):
+        quot[shift] = rem[shift + b.degree] / b.leading
+        for k, c in enumerate(b.coeffs):
+            rem[shift + k] -= quot[shift] * c
+    return Polynomial(quot), Polynomial(rem)
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor by Euclid's algorithm: 1 for coprime
+    inputs, zero for two zero polynomials."""
+    while not b.is_zero():
+        a, b = b, poly_divmod(a, b)[1]
+    return a if a.is_zero() else poly_monic(a)
+
+
 def oracle_sturm_chain(p) -> list:
     """The classical Sturm chain of a Polynomial over the rationals: p, p',
     then each negated remainder of Fraction polynomial division, down to the
     last nonzero one."""
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
     chain.pop()
     return chain
 
@@ -229,7 +273,7 @@ def oracle_isolate_real_roots(p, precision_bits: int) -> list[tuple[Fraction, Fr
         return (value > 0) - (value < 0)
 
     integer_chain = [integers(q) for q in chain]
-    squarefree = integers(p.divmod(chain[-1])[0])
+    squarefree = integers(poly_divmod(p, chain[-1])[0])
 
     def variations(x: Fraction) -> int:
         signs = [v for v in (sign(q, x) for q in integer_chain) if v != 0]
@@ -306,9 +350,9 @@ def oracle_degree_profile(s: Sequence[Fraction], polys: Sequence):
         gammas.append((k, gamma))
 
     blocks = []
-    monic = {n: polys[n].monic() for n in full}
+    monic = {n: poly_monic(polys[n]) for n in full}
     for k in range(len(full) - 1):
-        quotient, rem = monic[full[k + 1]].divmod(monic[full[k]])
+        quotient, rem = poly_divmod(monic[full[k + 1]], monic[full[k]])
         if k == 0:
             consistent, beta = rem.is_zero(), Fraction(1)
         elif rem.is_zero() or rem.degree != monic[full[k - 1]].degree:
@@ -519,7 +563,7 @@ def oracle_solve_prescribed(t: Sequence[Fraction], t_prime: Sequence[Fraction]) 
     prefix so far at every step, and Fraction dot products."""
     s = [Fraction(t[0]), Fraction(t_prime[0])]
     for n in range(1, len(t)):
-        p = poly_P(s, n).padded(n + 1)
+        p = poly_padded(poly_P(s, n), n + 1)
         s.append((t[n] - sum(p[j] * s[n + j] for j in range(n))) / p[n])
         s.append((t_prime[n] - sum(p[j] * s[n + 1 + j] for j in range(n))) / p[n])
     return s

@@ -32,7 +32,7 @@ from hankelkit import approximants
 from hankelkit.approximants import _recurrence_from_p
 from hankelkit.core import HankelScanner, hankel_scan
 
-from oracles import random_fraction, random_sequence
+from oracles import poly_padded, random_fraction, random_sequence
 from test_engine import chunked, generic, long_late_denominators, mid_gap, planted_gap
 
 
@@ -80,7 +80,7 @@ class TestRecurrenceCoeffs:
             if lead == 0:
                 continue
             rec = recurrence_coeffs(s, r)
-            p = poly_P(s, r).padded(r + 1)
+            p = poly_padded(poly_P(s, r), r + 1)
             assert rec.d == tuple(-p[k] / lead for k in range(r))
 
     def test_json(self):

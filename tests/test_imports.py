@@ -1,10 +1,11 @@
 """What importing hankelkit loads, and the lazy package namespace.
 
 `import hankelkit` loads no submodule, and the CLI loads only the layer its
-command computes with: an exact command never imports mpmath.  The budget is
-checked in fresh interpreters, since this process has long since loaded
-everything.  The namespace tests check that the lazy `hankelkit` still gives
-every public name, `dir`, `import *` and submodule access as before.
+command computes with: an exact command, exact solve among them, never
+imports mpmath.  The budget is checked in fresh interpreters, since this
+process has long since loaded everything.  The namespace tests check that the
+lazy `hankelkit` still gives every public name, `dir`, `import *` and
+submodule access as before.
 """
 
 import importlib
@@ -63,6 +64,19 @@ def test_exact_commands_leave_mpmath_out(tmp_path, command, payload):
     loaded = run_cli(tmp_path, command, payload)
     assert "hankelkit.cli" in loaded
     assert loaded.isdisjoint(NUMERIC), sorted(loaded & set(NUMERIC))
+
+
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--construct"]], ids=["solve", "solve --construct"])
+def test_exact_solve_leaves_mpmath_out(tmp_path, command):
+    target = ["1", "2", "0", "-18"]  # every root it takes is rational, the last sqrt(18 / 2) = 3
+    assert hankelkit.solve_inverse(target).mode == "exact"
+    loaded = run_cli(tmp_path, command, {"target": target})
+    assert "hankelkit.inverse" in loaded
+    assert "mpmath" not in loaded
+
+
+def test_bigfloat_solve_loads_mpmath(tmp_path):
+    assert "mpmath" in run_cli(tmp_path, ["solve", "--construct"], {"target": ["1", "0", "-2"]})
 
 
 def test_measure_loads_mpmath(tmp_path):

@@ -25,11 +25,13 @@ from hankelkit import (
 
 from hankelkit import inverse
 from hankelkit.core import HankelScanner
+from hankelkit.polynomials import p_family
 from oracles import (
     oracle_certify,
     oracle_construct,
     oracle_frobenius_check,
     oracle_hankel_det,
+    poly_gcd,
     random_fraction,
     random_sequence,
 )
@@ -562,3 +564,41 @@ class TestFreePolicy:
                 assert all(d == tuple(t) for d in solutions)
                 checked += 1
         assert checked >= 10
+
+
+def rational_planted_target(rng) -> list:
+    """A solvable target whose roots are all rational: n0 leading zeros, one to
+    four support steps of gap 1-4, each realized by a drawn w^g, and a zero tail."""
+
+    def power(k: int) -> F:
+        return F(rng.randint(1, 3) * rng.choice([1, -1]), rng.randint(1, 2)) ** k
+
+    n0 = rng.randint(0, 3)
+    t = [F(0)] * n0 + [(-1) ** (n0 * (n0 + 1) // 2) * power(n0 + 1)]
+    for _ in range(rng.randint(1, 4)):
+        g = rng.randint(1, 4)
+        t += [F(0)] * (g - 1) + [t[-1] * (-1) ** (g * (g - 1) // 2) * power(g)]
+    return t + [F(0)] * rng.randint(0, 2)
+
+
+class TestZeroBlockCoprimality:
+    def test_full_degree_p_has_a_coprime_nonzero_predecessor(self):
+        # The structural claim: deg P_n = n >= 1 gives P_{n-1} != 0 with no zero
+        # in common with P_n.  On solutions with zero blocks P_{n-1} is often of
+        # degree below n - 1, which no generic sequence shows.
+        rng = random.Random(2901)
+        full = short = 0
+        for i in range(60):
+            t = rational_planted_target(rng)
+            policy = ZEROS if i % 2 else FreePolicy("seed", rng.getrandbits(64))
+            sol = solve_inverse(t, free_policy=policy)
+            assert sol.mode == "exact"
+            family = p_family(sol.terms, len(t) - 1)
+            for n in range(1, len(family)):
+                if family[n].degree != n:
+                    continue
+                assert not family[n - 1].is_zero(), (t, policy, n)
+                assert poly_gcd(family[n], family[n - 1]).degree == 0, (t, policy, n)
+                full += 1
+                short += family[n - 1].degree < n - 1
+        assert short >= 100, (full, short)  # 134 of 186 with this seed

@@ -2,9 +2,16 @@
 
 Every helper in oracles.py is checked here against literals worked out by
 hand, so the cross-checks elsewhere rest on something independently trusted.
+The polynomial helpers are checked against the library's ring operations.
 """
 
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hankelkit.polynomials import ONE, X, ZERO, Polynomial
 
 from oracles import (
     cofactor_det,
@@ -13,7 +20,14 @@ from oracles import (
     oracle_q_coeffs,
     oracle_rank,
     oracle_shifted_det,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_monic,
 )
+
+fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+poly_st = st.builds(Polynomial, st.lists(fractions_st, max_size=6))
 
 
 class TestCofactorDet:
@@ -98,3 +112,35 @@ class TestOracleRank:
 
     def test_rectangular(self):
         assert oracle_rank([[F(1), F(2), F(3)], [F(2), F(4), F(6)]]) == 1
+
+
+class TestPolynomialHelpers:
+    @settings(max_examples=40, deadline=None)
+    @given(poly_st, poly_st, fractions_st)
+    def test_mul_distributes_over_eval(self, a, b, x):
+        assert poly_eval(a * b, x) == poly_eval(a, x) * poly_eval(b, x)
+        assert poly_eval(a + b, x) == poly_eval(a, x) + poly_eval(b, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_st, poly_st)
+    def test_divmod_invariant(self, a, b):
+        if b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                poly_divmod(a, b)
+            return
+        q, r = poly_divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree < b.degree
+
+    def test_gcd_of_common_factor(self):
+        p = (X - ONE) * (X * X + ONE)
+        q = (X - ONE) * X
+        assert poly_gcd(p, q) == X - ONE
+
+    def test_gcd_of_zeros(self):
+        assert poly_gcd(ZERO, ZERO).is_zero()
+
+    def test_monic(self):
+        assert poly_monic(Polynomial([2, 4])) == Polynomial([F(1, 2), 1])
+        with pytest.raises(ValueError):
+            poly_monic(ZERO)

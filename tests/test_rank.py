@@ -31,7 +31,7 @@ from hankelkit import (
 from hankelkit import core
 from hankelkit.polynomials import ONE, X, ZERO
 
-from oracles import oracle_finite_rank_checks, random_fraction
+from oracles import oracle_finite_rank_checks, poly_gcd, random_fraction
 
 from test_approximants import random_recurrent
 
@@ -159,7 +159,7 @@ class TestRationalForm:
             r = rng.randint(1, 3)
             s = random_recurrent(rng, r, 2 * r + 4)
             rf = rational_form(s, r)
-            assert rf.p.gcd(rf.q).degree in (None, 0)
+            assert poly_gcd(rf.p, rf.q).degree in (None, 0)
 
     def test_json(self):
         payload = rational_form([1, 2, 4, 8], 1).to_json()
