@@ -17,9 +17,10 @@ determinants do not constrain are filled by a policy: zeros, or seeded
 pseudorandom rationals.
 
 The roots depend on the target alone (`_root_steps`), so the arithmetic is
-chosen before the construction runs, once.  When every root is rational the
-run is exact: one resumable scan (`core.HankelScanner`) takes each entry as
-the construction fixes it, and each step reads the extension's recurrence
+chosen before the construction runs, once, and both arithmetics run one
+induction, `_construct`.  When every root is rational the run is exact: one
+resumable scan (`core.HankelScanner`) takes each entry as the construction
+fixes it, and each step reads the extension's recurrence
 d_k = -p_{r,k}/D_{r-1} off its P_r, r = n_k + 1, once s_0..s_{2r-1} are in.
 Otherwise the run is in big-float arithmetic at a configurable precision and
 solves for the recurrence with partial pivoting.  Either way one certificate
@@ -41,7 +42,7 @@ import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .approximants import ApproxRecurrence, _extension_values, _recurrence_from_p
 from .core import HankelScanner, MomentSequence, _is_witness, _moment, scale_to_integers
@@ -286,58 +287,28 @@ class InverseSolution:
 
 
 def _construct(
-    targets: TargetSequence, policy: FreePolicy, offsets: Sequence, bits: Optional[int], tol: str
-) -> tuple[list, Optional[HankelScanner]]:
-    """Run the inductive construction in one arithmetic: exact when bits is
-    None, else big-float at bits (the caller holds mp.workprec(bits)).
+    targets: TargetSequence,
+    policy: FreePolicy,
+    offsets: Sequence,
+    recurrence: Callable[[list, int], ApproxRecurrence],
+    convert: Callable[[Fraction], object],
+) -> list:
+    """Run the inductive construction on a target with a nonzero entry, in
+    the arithmetic of the offsets.
 
-    offsets are the roots of the _root_steps steps, in that arithmetic: the
-    first is s_{n_0}, and each later one is what step a -> b adds to the
-    extension's value at a + b + 1.  A gap-1 step is a root of order 1, so
-    it copies no extension values and draws no entries after its offset.
-
-    Returns the terms and, in exact mode, the scanner that took them as the
-    construction fixed them (None in big-float mode and for the all-zero
-    target); it may not have taken the last terms yet.  A big-float
-    recurrence system that is singular at the working precision raises
-    PrecisionExhausted: more bits may separate its pivots from zero.
+    offsets are the roots of the _root_steps steps: the first is s_{n_0},
+    and each later one is what step a -> b adds to the extension's value at
+    a + b + 1.  A gap-1 step is a root of order 1, so it copies no extension
+    values and draws no entries after its offset.  recurrence(s, r) is the
+    rank-r recurrence of the extension of s_0..s_{2r-1}, and convert takes 0
+    and each entry the policy draws into the offsets' arithmetic.
     """
     support = targets.support
     n_top = len(targets) - 1
-    if not support:  # the all-zero target: the zero sequence
-        return [Fraction(0)] * max(2 * n_top + 1, 0), None
-    draws = policy.stream()
-    scanner = None
-
-    if bits is None:
-        zero = Fraction(0)
-        draw = draws.__next__
-        scanner = HankelScanner(polys=True)
-
-        def recurrence(values: list, r: int) -> ApproxRecurrence:
-            scanner.extend(values[len(scanner.terms) :])
-            return _recurrence_from_p(scanner.p_int[r], r)
-
-    else:
-        from mpmath import mp
-
-        zero = mp.mpf(0)
-
-        def draw():
-            return to_mpf(next(draws), bits)
-
-        def recurrence(values: list, r: int) -> ApproxRecurrence:
-            rows = [[values[i + j] for j in range(r)] for i in range(r)]
-            rhs = [values[r + i] for i in range(r)]
-            with mp.workprec(bits):
-                try:
-                    solution = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-                except ZeroDivisionError:  # mpmath: "matrix is numerically singular"
-                    raise PrecisionExhausted(bits, "inf", tol) from None
-            return ApproxRecurrence(r, tuple(solution))
+    draw = map(convert, policy.stream()).__next__
 
     n0 = support[0]
-    s: list = [zero] * n0 + [offsets[0]]
+    s: list = [convert(Fraction(0))] * n0 + [offsets[0]]
     s.extend(draw() for _ in range(n0 + 1, 2 * n0 + 1))
     for a, b, offset in zip(support, support[1:], offsets[1:]):
         s.append(draw())  # s_{2a+1}: free, but needed to define the extension
@@ -349,20 +320,19 @@ def _construct(
     last = support[-1]
     if last < n_top:
         s.append(draw())  # s_{2·last+1}
-        rec = recurrence(s, last + 1)
-        sigma = _extension_values(s, rec, 2 * n_top)
+        sigma = _extension_values(s, recurrence(s, last + 1), 2 * n_top)
         s.extend(sigma[2 * last + 2 :])
-    return s, scanner
+    return s
 
 
 def _certify(
-    terms: Sequence[Fraction], targets: TargetSequence, scanner: Optional[HankelScanner] = None
+    terms: Sequence[Fraction], targets: TargetSequence, scanner: HankelScanner
 ) -> tuple[tuple, Fraction]:
     """Every D_n of the terms, proved by witnesses, and the exact largest
     |D_n - t_n| / max(1, |t_n|).
 
-    The witnesses are the polynomials P_r of a scan: the given scanner, first
-    extended over the terms it has not taken, or a new scan of the terms.
+    The witnesses are the polynomials P_r of the given scanner (with
+    polynomials), first extended over the terms it has not taken.
     Nothing the scan computed is trusted.  Each check is an integer dot
     product L(x^j P) = sum_i p_i s_{i+j} over the lcm-scaled terms
     (:func:`core._moment`).  From D_{-1} = 1 and P_0 = 1, at each full-degree
@@ -384,8 +354,6 @@ def _certify(
     """
     n_top = len(targets) - 1
     ints, scale = scale_to_integers(terms)
-    if scanner is None:
-        scanner = HankelScanner(polys=True)
     if len(terms) > len(scanner.terms):
         scanner.extend(terms[len(scanner.terms) :])
 
@@ -438,33 +406,49 @@ def solve_inverse(
         raise NotSolvable(report)
     offsets = [exact_kth_root(c / t_a, k) for t_a, c, k in steps]
     if None not in offsets:
-        bits = None
-        terms, scanner = _construct(targets, free_policy, offsets, bits, tol)
-        printed = terms
-    else:
-        from mpmath import mp
-        from mpmath.libmp import from_rational, round_ceiling
+        scanner = HankelScanner(polys=True)
 
-        bits = precision_bits
-        with mp.workprec(bits):
-            offsets = [real_kth_root(to_mpf(c, bits) / to_mpf(t_a, bits), k, bits) for t_a, c, k in steps]
-            terms, scanner = _construct(targets, free_policy, offsets, bits, tol)
-        # The certificate reads the solution as to_json prints it: big floats as
-        # their decimals, read back exactly (Decimal, unlike parse_rational, takes
-        # any number of digits), and scanned afresh for witnesses.
-        printed = [Fraction(Decimal(format_mpf(v, bits))) for v in terms]
-    certificate, residual = _certify(printed, targets, scanner)
-    if bits is None:
+        def scan_recurrence(values: list, r: int) -> ApproxRecurrence:
+            scanner.extend(values[len(scanner.terms) :])
+            return _recurrence_from_p(scanner.p_int[r], r)
+
+        if steps:
+            terms = _construct(targets, free_policy, offsets, scan_recurrence, Fraction)
+        else:  # the all-zero target: the zero sequence
+            terms = [Fraction(0)] * max(2 * len(targets) - 1, 0)
+        certificate, residual = _certify(terms, targets, scanner)
         if residual:
             n = next(n for n, d in enumerate(certificate) if d != targets[n])
             raise RuntimeError(
                 f"internal error: exact construction gives D_{n} = "
                 f"{format_rational(certificate[n])}, target {format_rational(targets[n])}"
             )
-        worst = residual
-    else:
-        worst = mp.make_mpf(from_rational(residual.numerator, residual.denominator, bits, round_ceiling))
-        if worst > mp.mpf(tol, prec=bits, rounding="d"):
-            raise PrecisionExhausted(bits, _residual_text(worst), tol)
-    mode = "exact" if bits is None else "bigfloat"
-    return InverseSolution(tuple(terms), mode, bits, certificate, worst, report)
+        return InverseSolution(tuple(terms), "exact", None, certificate, residual, report)
+
+    from mpmath import mp
+    from mpmath.libmp import from_rational, round_ceiling
+
+    bits = precision_bits
+
+    def solve_recurrence(values: list, r: int) -> ApproxRecurrence:
+        rows = [[values[i + j] for j in range(r)] for i in range(r)]
+        rhs = [values[r + i] for i in range(r)]
+        try:
+            solution = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
+        except ZeroDivisionError:  # mpmath: "matrix is numerically singular"
+            # Its pivots vanish at this precision; more bits may separate them from zero.
+            raise PrecisionExhausted(bits, "inf", tol) from None
+        return ApproxRecurrence(r, tuple(solution))
+
+    with mp.workprec(bits):
+        offsets = [real_kth_root(to_mpf(c, bits) / to_mpf(t_a, bits), k, bits) for t_a, c, k in steps]
+        terms = _construct(targets, free_policy, offsets, solve_recurrence, lambda v: to_mpf(v, bits))
+    # The certificate reads the solution as to_json prints it: big floats as
+    # their decimals, read back exactly (Decimal, unlike parse_rational, takes
+    # any number of digits), and scanned afresh for witnesses.
+    printed = [Fraction(Decimal(format_mpf(v, bits))) for v in terms]
+    certificate, residual = _certify(printed, targets, HankelScanner(polys=True))
+    worst = mp.make_mpf(from_rational(residual.numerator, residual.denominator, bits, round_ceiling))
+    if worst > mp.mpf(tol, prec=bits, rounding="d"):
+        raise PrecisionExhausted(bits, _residual_text(worst), tol)
+    return InverseSolution(tuple(terms), "bigfloat", bits, certificate, worst, report)

@@ -101,9 +101,7 @@ class Polynomial:
             else:
                 mag = "" if abs(c) == 1 else f"{format_rational(abs(c))}*"
                 term = f"{mag}x" if k == 1 else f"{mag}x^{k}"
-                parts.append(term if c > 0 or parts else f"-{term}")
-                if c < 0 and len(parts) > 1:
-                    parts[-1] = f"-{term}"
+                parts.append(f"-{term}" if c < 0 else term)
         text = parts[0]
         for part in parts[1:]:
             text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"

@@ -98,15 +98,12 @@ def int_kth_root(n: int, k: int) -> tuple[int, bool]:
     if k == 1 or n in (0, 1):
         return n, True
     x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) >= n^(1/k)
+    # No iterate falls below floor(n^(1/k)) (AM-GM), and each one above it decreases.
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             break
         x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
     return x, x**k == n
 
 

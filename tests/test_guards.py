@@ -11,6 +11,8 @@ refusal of a non-positive weight on the exact `measure` path.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from hankelkit import (
@@ -108,6 +110,27 @@ def test_guard_raises(call, kind, message):
     assert str(info.value) == message
 
 
+@st.composite
+def root_cases(draw):
+    """(n, k) with 2 <= k <= 40 and n < 2^4096: any n, or a perfect k-th power
+    x^k < 2^4096 or one of its neighbours x^k +- 1."""
+    k = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**4096 - 1)), k
+    x = draw(st.integers(1, 2 ** (4096 // k) - 1))
+    return x**k + draw(st.sampled_from([-1, 0, 1])), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(root_cases())
+def test_int_kth_root_is_the_floor_root(case):
+    # Newton from 2^ceil(bits/k) ends at floor(n^(1/k)) with no correction step.
+    n, k = case
+    x, exact = int_kth_root(n, k)
+    assert x**k <= n < (x + 1) ** k
+    assert exact == (x**k == n)
+
+
 def test_apply_L_past_the_horizon_names_index_and_horizon():
     with pytest.raises(IndexOutOfRange) as info:
         apply_L([1, 2], Polynomial([0, 0, 1]))
@@ -131,6 +154,7 @@ VALUES = [
     ("bottom_row_minors empty", lambda: bottom_row_minors([]), [F(1)]),
     ("cauchy_bound constant", lambda: cauchy_bound(Polynomial([5])), 1),
     ("exact_kth_root irrational", lambda: exact_kth_root(F(1, 2), 2), None),
+    ("exact_kth_root even root of a negative", lambda: exact_kth_root(F(-4), 2), None),
     ("to_mpf integer", lambda: to_mpf(5, 64), 5),
     ("RealScalar str", lambda: str(RealScalar(mp.mpf(1), 64)), "1.0"),
     ("Polynomial repr zero", lambda: repr(ZERO), "Polynomial(0)"),

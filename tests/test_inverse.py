@@ -259,9 +259,9 @@ class TestSolveInverseBigfloat:
         calls = []
         construct = inverse._construct
 
-        def counted(targets, policy, offsets, bits, tol):
-            calls.append(bits)
-            return construct(targets, policy, offsets, bits, tol)
+        def counted(targets, policy, offsets, recurrence, convert):
+            calls.append(None if isinstance(offsets[0], F) else mp.prec)
+            return construct(targets, policy, offsets, recurrence, convert)
 
         monkeypatch.setattr(inverse, "_construct", counted)
         assert solve_inverse([1, 0, -2]).mode == "bigfloat"
@@ -354,10 +354,10 @@ class TestCertificate:
     def perturb_first_term(self, monkeypatch):
         construct = inverse._construct
 
-        def perturbed(targets, policy, offsets, bits, tol):
-            terms, scanner = construct(targets, policy, offsets, bits, tol)
-            terms[0] += F(1, 10**20) if bits is None else mp.mpf("1e-20")
-            return terms, scanner
+        def perturbed(targets, policy, offsets, recurrence, convert):
+            terms = construct(targets, policy, offsets, recurrence, convert)
+            terms[0] += convert(F(1, 10**20))
+            return terms
 
         monkeypatch.setattr(inverse, "_construct", perturbed)
 
@@ -420,7 +420,7 @@ class TestWitnessCertificate:
         printed = printed_terms(sol)
         dets, residual = oracle_certify(printed, t)
         assert sol.certificate == dets
-        assert inverse._certify(printed, TargetSequence(tuple(t))) == (dets, residual)
+        assert inverse._certify(printed, TargetSequence(tuple(t)), HankelScanner(polys=True)) == (dets, residual)
         if sol.mode == "exact":
             assert residual == 0
 
@@ -434,13 +434,13 @@ class TestWitnessCertificate:
         k = data.draw(st.integers(0, len(printed) - 1))
         printed[k] += data.draw(st.sampled_from([F(1), F(-1), F(1, 3), -printed[k]]))
         targets = TargetSequence(tuple(t))
-        assert inverse._certify(printed, targets) == oracle_certify(printed, t)
+        assert inverse._certify(printed, targets, HankelScanner(polys=True)) == oracle_certify(printed, t)
 
     @settings(max_examples=200, deadline=None)
     @given(zero_run_sequences)
     def test_zero_run_sequences_match_the_bareiss_oracle(self, s):
         targets = TargetSequence((F(0),) * (len(s) // 2 + 1))
-        assert inverse._certify(s, targets) == oracle_certify(s, targets.terms)
+        assert inverse._certify(s, targets, HankelScanner(polys=True)) == oracle_certify(s, targets.terms)
 
     def test_long_exact_target(self):
         rng = random.Random(200)
@@ -460,62 +460,61 @@ class TestWitnessCertificate:
             p = p[:r]
         scanner.p_int[r], scanner.p_factor[r] = tuple(p), factor
 
+    @staticmethod
+    def changed_scanner(monkeypatch, t: list, change) -> None:
+        """Make solve_inverse's scans run change(scanner) once they hold all
+        2N + 1 terms of a solution to t: in exact mode after the construction,
+        in big-float mode on the printed decimals, before the certificate reads
+        the scan either way."""
+
+        class ChangedScanner(HankelScanner):
+            def extend(self, values):
+                super().extend(values)
+                if len(self.terms) == 2 * len(t) - 1:
+                    change(self)
+                return self
+
+        monkeypatch.setattr(inverse, "HankelScanner", ChangedScanner)
+
     # Full-degree indices 0, 1 and 3 (D_1 = 0), and s_0 != 0 in both.
     EXACT, BIGFLOAT = [2, 0, -2, 3], [1, 0, -2, 3]
 
     @pytest.mark.parametrize("kind", ["coefficient", "leading", "degree"])
     @pytest.mark.parametrize("r", [1, 3])
     def test_wrong_exact_witness_is_an_internal_error(self, monkeypatch, r, kind):
-        construct = inverse._construct
-
-        def corrupted(targets, policy, offsets, bits, tol):
-            terms, scanner = construct(targets, policy, offsets, bits, tol)
-            scanner.extend(terms[len(scanner.terms) :])
-            self.corrupt(scanner, r, kind)
-            return terms, scanner
-
-        monkeypatch.setattr(inverse, "_construct", corrupted)
+        assert solve_inverse(self.EXACT).mode == "exact"
+        self.changed_scanner(monkeypatch, self.EXACT, lambda scanner: self.corrupt(scanner, r, kind))
         with pytest.raises(RuntimeError, match=rf"internal error: the scan's P_{r} "):
             solve_inverse(self.EXACT)
 
     @pytest.mark.parametrize("kind", ["coefficient", "leading", "degree"])
     @pytest.mark.parametrize("r", [1, 3])
     def test_wrong_bigfloat_witness_is_an_internal_error(self, monkeypatch, r, kind):
-        corrupt = self.corrupt
-
-        class CorruptedScanner(HankelScanner):
-            def extend(self, values):
-                super().extend(values)
-                if len(self.terms) == 2 * len(TestWitnessCertificate.BIGFLOAT) - 1:
-                    corrupt(self, r, kind)  # the certificate's scan of the printed decimals
-                return self
-
         assert solve_inverse(self.BIGFLOAT).mode == "bigfloat"
-        monkeypatch.setattr(inverse, "HankelScanner", CorruptedScanner)
+        self.changed_scanner(monkeypatch, self.BIGFLOAT, lambda scanner: self.corrupt(scanner, r, kind))
         with pytest.raises(RuntimeError, match=rf"internal error: the scan's P_{r} "):
             solve_inverse(self.BIGFLOAT)
 
     def test_scan_determinants_are_not_read(self, monkeypatch):
-        construct = inverse._construct
+        changed = []
 
-        def wrong_values(targets, policy, offsets, bits, tol):
-            terms, scanner = construct(targets, policy, offsets, bits, tol)
-            scanner.extend(terms[len(scanner.terms) :])
+        def wrong_values(scanner):
             scanner.d_values[:] = [d + 1 for d in scanner.d_values]
-            return terms, scanner
+            changed.append(len(scanner.d_values))
 
-        monkeypatch.setattr(inverse, "_construct", wrong_values)
+        self.changed_scanner(monkeypatch, self.EXACT, wrong_values)
         assert solve_inverse(self.EXACT).certificate == tuple(F(v) for v in self.EXACT)
+        assert changed == [len(self.EXACT)]  # D_0..D_3, once
 
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_changed_exact_term_is_an_internal_error(self, monkeypatch, k):
         # The scan took s_0..s_5 before the change; s_6 only enters D_3.
         construct = inverse._construct
 
-        def changed(targets, policy, offsets, bits, tol):
-            terms, scanner = construct(targets, policy, offsets, bits, tol)
+        def changed(targets, policy, offsets, recurrence, convert):
+            terms = construct(targets, policy, offsets, recurrence, convert)
             terms[k] += 1
-            return terms, scanner
+            return terms
 
         monkeypatch.setattr(inverse, "_construct", changed)
         with pytest.raises(RuntimeError, match="internal error"):
